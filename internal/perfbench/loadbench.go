@@ -93,20 +93,25 @@ func RunLoad(short bool) ([]*loadgen.Result, error) {
 }
 
 // loadSpec is the per-request scenario: the scenarioBatch shape with
-// every job's instruction budget scaled up (1024x) until one worker's
-// service rate sits far below the attack rate on any plausible machine
-// — the queue, not the simulator, must be the contended resource, or
-// nothing is ever rejected and the topology comparison measures
-// nothing.
+// every job's instruction budget, arrival and departure scaled up
+// 2^18-fold, so one scenario runs for seconds, longer than the attack
+// itself, on any plausible machine. Admission is then bounded by queue
+// capacity alone: a node admits QueueDepth submissions and sheds the
+// rest, and the cluster's extra admissions are its peer's queue. With
+// short scenarios each node would instead admit whatever its worker
+// drains during the attack, which depends on the CPU the worker gets;
+// two in-process nodes on a contended CPU drain no faster than one, and
+// the topology comparison would measure the scheduler, not forwarding.
 func loadSpec() scenario.Spec {
+	const scale = 1 << 18
 	sp := scenarioBatch()[0]
 	sp.Cores = append([]scenario.CoreSpec(nil), sp.Cores...)
 	for ci := range sp.Cores {
 		sp.Cores[ci].Jobs = append([]scenario.JobSpec(nil), sp.Cores[ci].Jobs...)
 		for ji := range sp.Cores[ci].Jobs {
-			sp.Cores[ci].Jobs[ji].Work *= 1024
-			sp.Cores[ci].Jobs[ji].ArrivalNs *= 1024
-			sp.Cores[ci].Jobs[ji].DepartNs *= 1024
+			sp.Cores[ci].Jobs[ji].Work *= scale
+			sp.Cores[ci].Jobs[ji].ArrivalNs *= scale
+			sp.Cores[ci].Jobs[ji].DepartNs *= scale
 		}
 	}
 	return sp

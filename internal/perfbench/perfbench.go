@@ -148,6 +148,15 @@ func Run(short bool) (*Report, error) {
 		Stats: perfmodel.FromDB(base, config.Baseline()),
 		Model: perfmodel.Model3,
 	}
+	altSet := config.Setting{Core: config.SizeS, Freq: 0, Ways: config.MinWays}
+	alt, err := fixture.Stats("mcf", 0, altSet)
+	if err != nil {
+		return nil, err
+	}
+	altPred := &rm.ModelPredictor{
+		Stats: perfmodel.FromDB(alt, altSet),
+		Model: perfmodel.Model3,
+	}
 	const cores = 8
 	refCurves := make([]*rm.Curve, cores)
 	for i := range refCurves {
@@ -288,9 +297,15 @@ func Run(short bool) (*Report, error) {
 
 	// The per-interval RM invocation path of the co-simulator: one
 	// core's curve refresh plus the global redistribution across eight
-	// cores. The optimized path hits the curve cache and reuses the
-	// reduction workspace; the reference recomputes and reallocates, as
-	// the seed simulator did at every interval boundary.
+	// cores. Core 0 alternates between two records of mcf phase 0 (at
+	// the baseline and at the smallest grid setting), whose curves
+	// differ, so every op changes one core's curve as an interval
+	// boundary does. The optimized path hits the curve cache and
+	// recombines the one changed leaf-to-root path of the reduction
+	// workspace; the reference recomputes and reallocates, as the seed
+	// simulator did at every interval boundary.
+	preds := [2]rm.Predictor{pred, altPred}
+	keys := [2]*db.Stats{base, alt}
 	add("RMInvocation", func(b *testing.B) {
 		var cache rm.CurveCache
 		var ws rm.Workspace
@@ -298,8 +313,8 @@ func Run(short bool) (*Report, error) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cv := cache.Get(base, func() rm.Curve { return rm.Localize(pred, rm.RM3, rm.Options{}) })
-			refCurves[0] = cv
+			p := preds[i%2]
+			refCurves[0] = cache.Get(keys[i%2], func() rm.Curve { return rm.Localize(p, rm.RM3, rm.Options{}) })
 			if !ws.Optimize(refCurves, config.TotalWays(cores), out) {
 				b.Fatal("infeasible")
 			}
@@ -308,7 +323,7 @@ func Run(short bool) (*Report, error) {
 	add("RMInvocationReference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cv := rm.Localize(pred, rm.RM3, rm.Options{})
+			cv := rm.Localize(preds[i%2], rm.RM3, rm.Options{})
 			refCurves[0] = &cv
 			if _, ok := rm.GlobalOptimizeReference(refCurves, config.TotalWays(cores)); !ok {
 				b.Fatal("infeasible")

@@ -1,6 +1,7 @@
 package rm
 
 import (
+	"math/rand"
 	"testing"
 
 	"qosrm/internal/config"
@@ -21,6 +22,34 @@ func TestLocalizeAllocationFree(t *testing.T) {
 		n := testing.AllocsPerRun(100, func() { Localize(flatPredictor{}, kind, Options{}) })
 		if n > 0 {
 			t.Errorf("%v: Localize allocates %.0f times per call, want 0", kind, n)
+		}
+	}
+}
+
+// TestWorkspaceOptimizeAllocationFree pins the global optimisation's
+// share of the same budget: once the reduction tree exists, a call
+// allocates nothing, whether one core's curve changed since the last
+// call or none did.
+func TestWorkspaceOptimizeAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	curves := randomCurves(rng, 8)
+	alt := randomCurves(rng, 1)[0]
+	total := config.TotalWays(8)
+	out := make([]config.Setting, 8)
+	var ws Workspace
+	ws.Optimize(curves, total, out)
+	for name, step := range map[string]func(){
+		"none changed": func() {},
+		"one changed":  func() { curves[0], alt = alt, curves[0] },
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			step()
+			if !ws.Optimize(curves, total, out) {
+				t.Fatal("infeasible")
+			}
+		})
+		if n > 0 {
+			t.Errorf("%s: Workspace.Optimize allocates %.0f times per call, want 0", name, n)
 		}
 	}
 }

@@ -213,6 +213,52 @@ func TestSweepMatchesSequentialRuns(t *testing.T) {
 	}
 }
 
+// wideSpec is testSpec on four cores: its two queues twice over.
+func wideSpec(name string) Spec {
+	s := testSpec(name)
+	s.Cores = append(s.Cores, testSpec(name).Cores...)
+	return s
+}
+
+// TestSweepIndependentOfWorkspaceHistory runs a mixed batch on one
+// worker, so one sim.RunWorkspace, with its allocation policy's
+// reduction state, carries over from spec to spec, and checks every
+// report against a fresh Run. Neighbours differ in core count, manager,
+// oracle mode, policy or idle-way donation; most keep the core count
+// and the model3 policy, so its reduction tree is reused as it stands,
+// and the last spec repeats the first after the rest of the batch.
+func TestSweepIndependentOfWorkspaceHistory(t *testing.T) {
+	d := sharedDB(t)
+	specs := []Spec{
+		testSpec("two"), testSpec("two-rm2-donate"),
+		wideSpec("four-rm1"), wideSpec("four-perfect"), wideSpec("four-donate"),
+		testSpec("two-greedy"), testSpec("two-brute"),
+		testSpec("two-rm1"), testSpec("two-again"),
+	}
+	specs[1].RM = "RM2"
+	specs[1].DonateIdleWays = true
+	specs[2].RM = "RM1"
+	specs[3].Perfect = true
+	specs[4].DonateIdleWays = true
+	specs[5].Policy = rm.PolicyGreedy
+	specs[6].Policy = rm.PolicyBrute
+	specs[7].RM = "RM1"
+
+	reports, err := Sweep(d, specs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		fresh, err := Run(d, &specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(reports[i], fresh) {
+			t.Errorf("spec %s: report after the batch's earlier specs differs from a fresh run", specs[i].Name)
+		}
+	}
+}
+
 func TestSweepCollectsErrors(t *testing.T) {
 	d := sharedDB(t)
 	specs := []Spec{testSpec("good"), testSpec("bad")}

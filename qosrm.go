@@ -85,19 +85,27 @@
 // interval's database record (benchmark, phase, setting), an oracle
 // curve only on (benchmark, phase) — so rm.Localize runs once per
 // distinct record a core visits instead of at every interval boundary.
-// The global pairwise curve reduction reuses an rm.Workspace (the
-// reduction tree as a preallocated arena) and writes settings into a
-// reused slice, making the per-interval path allocation-free. Database
-// lookups (db.Stats) index into a per-phase dense grid of records,
-// materialised once per phase — corner records copied, off-corner
-// records interpolated — and shared read-only thereafter.
+// The global pairwise curve reduction reuses an rm.Workspace, the
+// reduction tree as a preallocated arena that also remembers the
+// previous call: each leaf keeps a copy of its core's energies and an
+// inner node recombines only when a child changed, so a boundary where
+// only the invoking core's curve changed recomputes one leaf-to-root
+// path. The root is never combined in full; it is solved for the one
+// total it needs, E(totalWays). Settings go into a reused slice, making
+// the per-interval path allocation-free. Database lookups (db.Stats)
+// index into a per-phase dense grid of records, materialised once per
+// phase — corner records copied, off-corner records interpolated — and
+// shared read-only thereafter.
 //
 // Cache invalidation is structural rather than temporal: every cache
 // key pins the full set of inputs its value depends on (phase
 // preparation per (benchmark, phase, trace length, warmup); replay
 // dedup per delivery sequence; curve memo per predictor input record;
 // dense grid per phase), and all cached values are immutable once
-// published, so nothing is ever invalidated in place.
+// published, so nothing is ever invalidated in place. The reduction
+// tree is the one memo that is compared rather than keyed: it checks
+// every leaf's energies bit for bit on each call, so its result depends
+// only on the curves' contents, never on the order of calls.
 //
 // The scenario sweep reuses a sim.RunWorkspace per worker — per-core
 // state, the allocation policy's arena and the curve memoization
