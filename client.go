@@ -55,7 +55,7 @@ type (
 // by a bounded worker pool. With ServerOptions.JournalPath set, the job
 // queue is crash-safe: New replays the journal, so the error return
 // covers an unopenable or version-incompatible journal file. With
-// ServerOptions.Peers or Join naming gossip seeds (and Advertise set so
+// ServerOptions.Peers naming gossip seeds (and Advertise set so
 // peers can reach this node), the node runs in cluster mode: it
 // discovers the rest of the cluster by anti-entropy gossip, expels dead
 // members within seconds via a SWIM-lite failure detector, and forwards

@@ -1,21 +1,19 @@
 // Command dbgen builds the simulation database — the equivalent of the
 // paper's Sniper+McPAT sweeps over all core configurations, VF corners
-// and LLC allocations for every benchmark phase — and persists it for
-// the other tools: as a gob cache (-out) for in-process Open calls, or
-// as a versioned binary snapshot (-o) that feeds qosrmd cold starts.
+// and LLC allocations for every benchmark phase — and saves it as a
+// versioned binary snapshot: the file qosrmd cold-starts from and the
+// -db cache the figures, inspect, rmsim and scenarios commands load.
 //
 // Usage:
 //
-//	dbgen [-o suite.qosdb] [-out qosrm-db.gz] [-tracelen 65536] [-warmup 16384] [-workers N]
+//	dbgen [-o suite.qosdb] [-tracelen 65536] [-warmup 16384] [-workers N]
 //	dbgen -load suite.qosdb -verify
-//	dbgen -load suite.qosdb -o converted.qosdb
 //
-// -load skips the build and reads an existing snapshot instead; with
-// -verify it checks the snapshot end to end — magic, format version,
-// checksum, params hash against this binary's suite definition, and
-// coverage of the full suite — and exits non-zero on any failure.
-// Combining -load with -o or -out rewrites the database in the other
-// format. Ctrl-C cancels an in-flight build promptly.
+// -load skips the build and reads an existing snapshot instead (it
+// writes nothing); with -verify it checks the snapshot end to end —
+// magic, format version, checksum, params hash against this binary's
+// suite definition, and coverage of the full suite — and exits non-zero
+// on any failure. Ctrl-C cancels an in-flight build promptly.
 package main
 
 import (
@@ -36,8 +34,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dbgen: ")
-	out := flag.String("out", "", "gob database output path (legacy cache format)")
-	snap := flag.String("o", "", "snapshot output path (qosrmd cold-start format)")
+	snap := flag.String("o", "suite.qosdb", "snapshot output path of the build")
 	load := flag.String("load", "", "read this snapshot instead of building")
 	verify := flag.Bool("verify", false, "with -load: verify integrity, params hash and suite coverage")
 	traceLen := flag.Int("tracelen", 65536, "instructions measured per phase")
@@ -45,18 +42,8 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel builders (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var (
-		d     *db.DB
-		err   error
-		start = time.Now()
-	)
-	switch {
-	case *load != "":
-		var h *dbstore.Header
-		d, h, err = dbstore.Load(*load)
+	if *load != "" {
+		d, h, err := dbstore.Load(*load)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,36 +58,28 @@ func main() {
 			}
 			fmt.Printf("verified: checksum ok, params hash matches this binary, full suite covered\n")
 		}
-	default:
-		if *out == "" && *snap == "" {
-			*out = "qosrm-db.gz" // the historical default output
-		}
-		d, err = db.BuildContext(ctx, bench.Suite(), db.Options{
-			TraceLen: *traceLen,
-			Warmup:   *warmup,
-			Workers:  *workers,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		phases := 0
-		for _, b := range bench.Suite() {
-			phases += len(b.Phases)
-		}
-		fmt.Printf("built %d benchmarks / %d phases in %v\n",
-			len(bench.Suite()), phases, time.Since(start).Round(time.Millisecond))
+		return
 	}
 
-	if *snap != "" && *snap != *load {
-		if err := dbstore.Save(*snap, d); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote snapshot %s\n", *snap)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	start := time.Now()
+	d, err := db.BuildContext(ctx, bench.Suite(), db.Options{
+		TraceLen: *traceLen,
+		Warmup:   *warmup,
+		Workers:  *workers,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *out != "" {
-		if err := d.Save(*out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote gob cache %s\n", *out)
+	phases := 0
+	for _, b := range bench.Suite() {
+		phases += len(b.Phases)
 	}
+	fmt.Printf("built %d benchmarks / %d phases in %v\n",
+		len(bench.Suite()), phases, time.Since(start).Round(time.Millisecond))
+	if err := dbstore.Save(*snap, d); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote snapshot %s\n", *snap)
 }

@@ -23,6 +23,7 @@ import (
 
 	"qosrm/internal/bench"
 	"qosrm/internal/db"
+	"qosrm/internal/dbstore"
 	"qosrm/internal/experiments"
 )
 
@@ -31,14 +32,14 @@ func main() {
 	log.SetPrefix("figures: ")
 	expList := flag.String("exp", "all", "comma-separated experiments or 'all'")
 	jsonPath := flag.String("json", "", "also write a machine-readable report of all experiments to this path")
-	dbPath := flag.String("db", "qosrm-db.gz", "database cache path (built if missing)")
+	dbPath := flag.String("db", "suite.qosdb", "database snapshot path (built and saved if missing or stale; see cmd/dbgen)")
 	traceLen := flag.Int("tracelen", 65536, "instructions measured per phase")
 	scale := flag.Int64("scale", 2048, "co-simulation instruction-count divisor")
 	per := flag.Int("per", 6, "workloads per scenario and core count")
 	seed := flag.Int64("seed", 20, "workload generation seed")
 	flag.Parse()
 
-	d, err := db.LoadOrBuild(*dbPath, bench.Suite(), db.Options{TraceLen: *traceLen})
+	d, err := dbstore.LoadOrBuild(*dbPath, bench.Suite(), db.Options{TraceLen: *traceLen})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	inspect -app mcf [-phase 0] [-model 3] [-db qosrm-db.gz]
+//	inspect -app mcf [-phase 0] [-model 3] [-db suite.qosdb]
 package main
 
 import (
@@ -18,6 +18,7 @@ import (
 	"qosrm/internal/bench"
 	"qosrm/internal/config"
 	"qosrm/internal/db"
+	"qosrm/internal/dbstore"
 	"qosrm/internal/perfmodel"
 	"qosrm/internal/rm"
 )
@@ -28,7 +29,7 @@ func main() {
 	app := flag.String("app", "mcf", "application to inspect")
 	phase := flag.Int("phase", 0, "phase index")
 	model := flag.Int("model", 3, "performance model for the RM curves (1-3)")
-	dbPath := flag.String("db", "qosrm-db.gz", "database cache path (built if missing)")
+	dbPath := flag.String("db", "suite.qosdb", "database snapshot path (built and saved if missing or stale; see cmd/dbgen)")
 	flag.Parse()
 
 	b, err := bench.ByName(*app)
@@ -41,7 +42,7 @@ func main() {
 	if *model < 1 || *model > 3 {
 		log.Fatalf("model must be 1-3")
 	}
-	d, err := db.LoadOrBuild(*dbPath, bench.Suite(), db.Options{})
+	d, err := dbstore.LoadOrBuild(*dbPath, bench.Suite(), db.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rmsim -apps mcf,povray [-rm RM3] [-model 3] [-perfect] [-scale 2048]
-//	      [-interval 100000000] [-db qosrm-db.gz] [-trace]
+//	      [-interval 100000000] [-db suite.qosdb] [-trace]
 //	rmsim -scenario 1 -cores 4 [-seed 20] ...   # generated workload
 package main
 
@@ -17,6 +17,7 @@ import (
 
 	"qosrm/internal/bench"
 	"qosrm/internal/db"
+	"qosrm/internal/dbstore"
 	"qosrm/internal/perfmodel"
 	"qosrm/internal/rm"
 	"qosrm/internal/sim"
@@ -35,7 +36,7 @@ func main() {
 	perfect := flag.Bool("perfect", false, "use the perfect oracle instead of an online model")
 	scale := flag.Int64("scale", 2048, "instruction-count scale divisor (1 = paper scale)")
 	interval := flag.Int64("interval", 0, "RM interval in instructions (0 = paper's 100M)")
-	dbPath := flag.String("db", "qosrm-db.gz", "database cache path (built if missing)")
+	dbPath := flag.String("db", "suite.qosdb", "database snapshot path (built and saved if missing or stale; see cmd/dbgen)")
 	traceEvents := flag.Bool("trace", false, "print interval-boundary events")
 	flag.Parse()
 
@@ -84,7 +85,7 @@ func main() {
 	}
 	workload := apps2
 
-	d, err := db.LoadOrBuild(*dbPath, bench.Suite(), db.Options{})
+	d, err := dbstore.LoadOrBuild(*dbPath, bench.Suite(), db.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

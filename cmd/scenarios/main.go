@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"qosrm/internal/db"
+	"qosrm/internal/dbstore"
 	"qosrm/internal/scenario"
 	"qosrm/internal/workload"
 )
@@ -41,7 +42,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("scenarios: ")
 	file := flag.String("f", "", "scenario file to run (one spec object or an array)")
-	dbPath := flag.String("db", "", "database cache path (built if missing; empty disables caching)")
+	dbPath := flag.String("db", "", "database snapshot path (built and saved if missing or stale; empty disables caching)")
 	traceLen := flag.Int("tracelen", 16384, "instructions measured per phase of the database build")
 	warmup := flag.Int("warmup", 4096, "cache warm-up prefix of the database build")
 	workers := flag.Int("workers", 0, "parallel scenario runs (0 = one per scenario)")
@@ -132,7 +133,7 @@ func run(file, dbPath string, traceLen, warmup, workers int, out, policies strin
 
 	benches := scenario.Benchmarks(specs)
 	start := time.Now()
-	d, err := db.LoadOrBuild(dbPath, benches, db.Options{TraceLen: traceLen, Warmup: warmup})
+	d, err := dbstore.LoadOrBuild(dbPath, benches, db.Options{TraceLen: traceLen, Warmup: warmup})
 	if err != nil {
 		return err
 	}

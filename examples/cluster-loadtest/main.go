@@ -161,7 +161,7 @@ func main() {
 	}
 	urlC := "http://" + lnC.Addr().String()
 	joinOpts := nodeOpts
-	joinOpts.Join = []string{urlA2}
+	joinOpts.Peers = []string{urlA2}
 	joinOpts.Advertise = urlC
 	joinOpts.GossipInterval = 100 * time.Millisecond
 	srvC, err := qosrm.FromDB(d).NewServer(joinOpts)

@@ -95,7 +95,8 @@ type phaseData struct {
 	// off-corner records interpolated once, so the co-simulator's
 	// per-interval lookups return a shared pointer instead of allocating
 	// and re-interpolating on every call. Guarded by denseOnce; read-only
-	// after materialisation. Unexported, so Save/Load never see it.
+	// after materialisation. Unexported, and never persisted: snapshots
+	// (internal/dbstore) store only the corners in Runs.
 	denseOnce sync.Once
 	dense     []Stats
 }

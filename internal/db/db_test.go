@@ -2,8 +2,6 @@ package db
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -185,80 +183,6 @@ func TestActualEnergyScalesLinearly(t *testing.T) {
 	e2 := s.ActualEnergyJ(config.Baseline(), 2000)
 	if math.Abs(e2-2*e1) > 0.02*e2 {
 		t.Errorf("energy not ≈linear in instructions: %g vs 2×%g", e2, e1)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	d := sharedDB(t)
-	path := filepath.Join(t.TempDir(), "db.gz")
-	if err := d.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.TraceLen != d.TraceLen || l.Warmup != d.Warmup {
-		t.Error("header fields lost")
-	}
-	a, _ := d.Stats("mcf", 1, config.Setting{Core: config.SizeL, Freq: 3, Ways: 11})
-	b, err := l.Stats("mcf", 1, config.Setting{Core: config.SizeL, Freq: 3, Ways: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *a != *b {
-		t.Error("loaded stats differ from saved")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(path, []byte("not a database"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("garbage file must fail to load")
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("missing file must fail to load")
-	}
-}
-
-func TestLoadOrBuildCachesAndRebuilds(t *testing.T) {
-	benches := testBenches(t)[:1]
-	path := filepath.Join(t.TempDir(), "cache.gz")
-	d1, err := LoadOrBuild(path, benches, Options{TraceLen: 4096, Warmup: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal("database not cached")
-	}
-	d2, err := LoadOrBuild(path, benches, Options{TraceLen: 4096, Warmup: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := d1.Stats(benches[0].Name, 0, config.Baseline())
-	b, _ := d2.Stats(benches[0].Name, 0, config.Baseline())
-	if *a != *b {
-		t.Error("cached database differs")
-	}
-	// A different trace length forces a rebuild.
-	d3, err := LoadOrBuild(path, benches, Options{TraceLen: 2048, Warmup: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3.TraceLen != 2048 {
-		t.Error("rebuild did not honour the new trace length")
-	}
-	// A database missing a benchmark is rebuilt too.
-	more := testBenches(t)[:2]
-	d4, err := LoadOrBuild(path, more, Options{TraceLen: 2048, Warmup: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d4.NumPhases(more[1].Name) == 0 {
-		t.Error("rebuild did not cover the added benchmark")
 	}
 }
 

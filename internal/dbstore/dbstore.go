@@ -294,6 +294,31 @@ func putStats(buf []byte, s *db.Stats) []byte {
 	return buf
 }
 
+// LoadOrBuild returns the database cached at path when it is a valid
+// snapshot built with the trace length and warmup opts resolves to and
+// covering every phase of benches. Otherwise it builds the database over
+// benches and, when path is non-empty, saves the snapshot there. An
+// empty path disables caching.
+func LoadOrBuild(path string, benches []*bench.Benchmark, opts db.Options) (*db.DB, error) {
+	if path != "" {
+		want := opts.WithDefaults()
+		if d, _, err := Load(path); err == nil &&
+			d.TraceLen == want.TraceLen && d.Warmup == want.Warmup && d.Covers(benches) {
+			return d, nil
+		}
+	}
+	d, err := db.Build(benches, opts)
+	if err != nil {
+		return nil, err
+	}
+	if path != "" {
+		if err := Save(path, d); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
 // Load reads and fully verifies a snapshot file.
 func Load(path string) (*db.DB, *Header, error) {
 	f, err := os.Open(path)

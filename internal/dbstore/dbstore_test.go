@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"runtime"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"qosrm/internal/bench"
@@ -14,8 +15,8 @@ import (
 	"qosrm/internal/db"
 )
 
-// buildSmall builds a small database for serialisation tests.
-func buildSmall(t *testing.T, names []string, traceLen, warmup int) *db.DB {
+// benchesByName resolves suite benchmarks by name.
+func benchesByName(t *testing.T, names []string) []*bench.Benchmark {
 	t.Helper()
 	benches := make([]*bench.Benchmark, len(names))
 	for i, n := range names {
@@ -25,11 +26,50 @@ func buildSmall(t *testing.T, names []string, traceLen, warmup int) *db.DB {
 		}
 		benches[i] = b
 	}
-	d, err := db.Build(benches, db.Options{TraceLen: traceLen, Warmup: warmup})
+	return benches
+}
+
+// buildSmall builds a small database for serialisation tests.
+func buildSmall(t *testing.T, names []string, traceLen, warmup int) *db.DB {
+	t.Helper()
+	d, err := db.Build(benchesByName(t, names), db.Options{TraceLen: traceLen, Warmup: warmup})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// requireSameDB fails unless got has want's build parameters and, for
+// every benchmark of want, the same simulated corners bit for bit.
+func requireSameDB(t *testing.T, label string, got, want *db.DB) {
+	t.Helper()
+	if got.TraceLen != want.TraceLen || got.Warmup != want.Warmup {
+		t.Fatalf("%s: params %d/%d, want %d/%d", label, got.TraceLen, got.Warmup, want.TraceLen, want.Warmup)
+	}
+	for _, name := range want.Benchmarks() {
+		if got.NumPhases(name) != want.NumPhases(name) {
+			t.Fatalf("%s: %s has %d phases, want %d", label, name, got.NumPhases(name), want.NumPhases(name))
+		}
+		for p := 0; p < want.NumPhases(name); p++ {
+			w, err := want.Corners(name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := got.Corners(name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci := range w {
+				for k := range w[ci] {
+					for wi := range w[ci][k] {
+						if !statsEqual(&w[ci][k][wi], &g[ci][k][wi]) {
+							t.Fatalf("%s: %s phase %d corner [%d][%d][%d] differs", label, name, p, ci, k, wi)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // statsEqual compares two records bit for bit (NaN-safe, unlike ==).
@@ -83,34 +123,12 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.names, err)
 		}
-		if got.TraceLen != d.TraceLen || got.Warmup != d.Warmup {
-			t.Fatalf("%v: params %d/%d, want %d/%d", tc.names, got.TraceLen, got.Warmup, d.TraceLen, d.Warmup)
-		}
 		if h.Benchmarks != len(tc.names) {
 			t.Fatalf("%v: header says %d benchmarks", tc.names, h.Benchmarks)
 		}
+		requireSameDB(t, "round trip", got, d)
 		for _, name := range tc.names {
-			if got.NumPhases(name) != d.NumPhases(name) {
-				t.Fatalf("%s: %d phases, want %d", name, got.NumPhases(name), d.NumPhases(name))
-			}
 			for p := 0; p < d.NumPhases(name); p++ {
-				want, err := d.Corners(name, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				have, err := got.Corners(name, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for ci := range want {
-					for k := range want[ci] {
-						for wi := range want[ci][k] {
-							if !statsEqual(&want[ci][k][wi], &have[ci][k][wi]) {
-								t.Fatalf("%s phase %d corner [%d][%d][%d] differs after round trip", name, p, ci, k, wi)
-							}
-						}
-					}
-				}
 				// The dense grid a loaded database serves must also match:
 				// every (core, frequency, ways) record, interpolated ones
 				// included.
@@ -134,6 +152,51 @@ func TestRoundTripBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLoadOrBuildCachesAndRebuilds pins the snapshot cache that Open
+// and the commands load through: a snapshot matching the request is
+// served, and a change of trace length, warmup or benchmark set rebuilds
+// and replaces it. Every database it returns matches a fresh build of
+// the same request bit for bit, so a stale snapshot is never served.
+func TestLoadOrBuildCachesAndRebuilds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.qosdb")
+	steps := []struct {
+		what             string
+		names            []string
+		traceLen, warmup int
+		served           bool
+	}{
+		{"first call", []string{"mcf"}, 4096, 1024, false},
+		{"matching snapshot", []string{"mcf"}, 4096, 1024, true},
+		{"trace length change", []string{"mcf"}, 2048, 1024, false},
+		{"warmup change", []string{"mcf"}, 2048, 512, false},
+		{"added benchmark", []string{"mcf", "povray"}, 2048, 512, false},
+	}
+	var prev os.FileInfo
+	for _, st := range steps {
+		benches := benchesByName(t, st.names)
+		opts := db.Options{TraceLen: st.traceLen, Warmup: st.warmup}
+		got, err := LoadOrBuild(path, benches, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", st.what, err)
+		}
+		// Save replaces the file by rename, so a rebuild always leaves a
+		// new file behind and a served snapshot leaves the old one.
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("%s: snapshot not saved: %v", st.what, err)
+		}
+		if served := prev != nil && os.SameFile(prev, fi); served != st.served {
+			t.Fatalf("%s: snapshot served = %v, want %v", st.what, served, st.served)
+		}
+		prev = fi
+		want, err := db.Build(benches, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameDB(t, st.what, got, want)
 	}
 }
 

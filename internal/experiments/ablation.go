@@ -163,9 +163,9 @@ func (c *Context) AblationGlobalOpt() ([]GlobalOptPoint, error) {
 	}
 	out := []GlobalOptPoint{{Strategy: "optimal (paper)"}, {Strategy: "greedy"}}
 	for _, wl := range wls {
-		for i, greedy := range []bool{false, true} {
+		for i, policy := range []string{rm.PolicyModel3, rm.PolicyGreedy} {
 			cfg := c.simConfig(rm.RM3, perfmodel.Model3, false, false)
-			cfg.GreedyGlobal = greedy
+			cfg.Policy = policy
 			s, _, err := c.savings(wl.Apps, cfg)
 			if err != nil {
 				return nil, err

@@ -103,14 +103,8 @@ type Options struct {
 	// queue_full is forwarded to the least-loaded live member (ranked
 	// by the /healthz Queued/QueueDepth fields) instead; the caller
 	// gets the member's job handle with JobStatus.Origin set, and the
-	// member's journal owns the job. Empty with no Join runs
-	// standalone.
+	// member's journal owns the job. Empty runs standalone.
 	Peers []string
-	// Join lists seed nodes of an existing cluster to fetch membership
-	// from — semantically identical to Peers (both are gossip seeds);
-	// the split mirrors the qosrmd flags, where -peers is the static
-	// PR 7 shape and -join the one-seed entry point.
-	Join []string
 	// NodeID is this node's stable cluster identity, carried in gossip
 	// and in the forwarding trail (default: random per boot). Give a
 	// long-lived node a fixed ID so a restart at the same address is
@@ -382,7 +376,7 @@ func New(d *db.DB, opts Options) (*Server, error) {
 		ID:             opts.NodeID,
 		Addr:           opts.Advertise,
 		ParamsHash:     s.paramsHash,
-		Seeds:          append(append([]string{}, opts.Peers...), opts.Join...),
+		Seeds:          opts.Peers,
 		SuspectTimeout: opts.SuspectTimeout,
 		Clock:          s.now,
 	})

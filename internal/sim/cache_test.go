@@ -9,9 +9,9 @@ import (
 
 // TestCurveCacheEquivalence is the RM-path overhaul's correctness
 // contract: with the per-run curve cache and workspace reduction, every
-// co-simulation outcome must be identical to the seed behaviour of
-// recomputing Localize at every interval boundary — across all RM
-// kinds, models, the perfect oracle, and a relaxed alpha.
+// co-simulation outcome must be identical to the seed static loop, which
+// recomputes Localize at every interval boundary (runStaticReference) —
+// across all RM kinds, models, the perfect oracle, and a relaxed alpha.
 func TestCurveCacheEquivalence(t *testing.T) {
 	d := sharedDB(t)
 	w := apps(t, "mcf", "xalancbmk", "libquantum", "omnetpp")
@@ -22,18 +22,16 @@ func TestCurveCacheEquivalence(t *testing.T) {
 		{RM: rm.RM3, Model: perfmodel.Model3, Alpha: 1.3},
 		{RM: rm.RM3, Perfect: true},
 		{RM: rm.RM2, Model: perfmodel.Model3, DisableOverheads: true},
-		{RM: rm.RM3, Model: perfmodel.Model3, GreedyGlobal: true},
+		{RM: rm.RM3, Model: perfmodel.Model3, Policy: rm.PolicyGreedy},
 	}
 	for _, cfg := range configs {
 		cached, err := Run(d, w, cfg)
 		if err != nil {
 			t.Fatalf("%v/%v: %v", cfg.RM, cfg.Model, err)
 		}
-		plain := cfg
-		plain.noCurveCache = true
-		ref, err := Run(d, w, plain)
+		ref, err := runStaticReference(d, w, cfg)
 		if err != nil {
-			t.Fatalf("%v/%v (no cache): %v", cfg.RM, cfg.Model, err)
+			t.Fatalf("%v/%v (reference): %v", cfg.RM, cfg.Model, err)
 		}
 		if cached.EnergyJ != ref.EnergyJ || cached.TimeNs != ref.TimeNs ||
 			cached.RMCalled != ref.RMCalled || cached.UncoreJ != ref.UncoreJ {

@@ -35,7 +35,7 @@ func TestDynamicMatchesStaticRun(t *testing.T) {
 		{"rm3-model3", []string{"mcf", "povray"}, Config{RM: rm.RM3}},
 		{"rm2-model1", []string{"bwaves", "xalancbmk"}, Config{RM: rm.RM2, Model: 1}},
 		{"perfect", []string{"libquantum", "omnetpp"}, Config{RM: rm.RM3, Perfect: true}},
-		{"greedy", []string{"mcf", "xalancbmk"}, Config{RM: rm.RM3, GreedyGlobal: true}},
+		{"greedy", []string{"mcf", "xalancbmk"}, Config{RM: rm.RM3, Policy: rm.PolicyGreedy}},
 		{"no-overheads", []string{"mcf", "povray"}, Config{RM: rm.RM3, DisableOverheads: true}},
 		{"restarting-app", []string{"omnetpp", "mcf"}, Config{RM: rm.RM1}},
 		{"alpha", []string{"mcf", "povray"}, Config{RM: rm.RM3, Alpha: 1.2}},

@@ -5,7 +5,7 @@
 // steps, queue priorities with preemption, and idle-way donation — and
 // delegates every allocation decision to the run's rm.Policy. The
 // pre-unification static and dynamic loops are retained verbatim in
-// reference.go and the cross-seed property tests pin this engine
+// reference_test.go and the cross-seed property tests pin this engine
 // bit-identical to both on their shared feature set.
 package sim
 
@@ -242,7 +242,6 @@ func (c *dynCore) startNext(d *db.DB, cfg *Config, now, interval float64) error 
 	}
 	c.app = j.App
 	c.depart = j.DepartNs
-	c.fin = false
 	c.hasCurve = false
 	c.curve = nil
 	if c.prioritized && c.susp[idx].suspended {
@@ -576,7 +575,7 @@ func runEngine(ctx context.Context, d *db.DB, dyn Dynamic, cfg Config, ws *RunWo
 			// large simulated times; without the clock-resolution guard
 			// this boundary would replay forever without retiring
 			// anything (the seed engines shared the trap — no
-			// terminating run is affected, see reference.go).
+			// terminating run is affected, see reference_test.go).
 			if rem := c.target - c.executed; rem <= 1e-6 || now+c.stallNs+rem*c.stats.TPI() <= now {
 				if err := transition(d, &cfg, cores, best, totalWays, st, res, now, interval, false); err != nil {
 					return nil, err

@@ -11,7 +11,7 @@ import (
 
 // The cross-seed property tests of the engine unification: the one
 // event-driven engine behind Run/RunDynamic must reproduce the retained
-// seed loops (reference.go) bit for bit on every workload the old
+// seed loops (reference_test.go) bit for bit on every workload the old
 // engines could express — static mixes, multiprogrammed churn with
 // arrivals/departures, heterogeneous per-app alphas and mid-run QoS
 // steps — across seeds and manager configurations. This is the same
@@ -27,7 +27,7 @@ func equivConfigs() []Config {
 		{RM: rm.RM2, Model: perfmodel.Model1},
 		{RM: rm.RM3, Perfect: true},
 		{RM: rm.RM3, Model: perfmodel.Model3, Alpha: 1.2},
-		{RM: rm.RM3, Model: perfmodel.Model3, GreedyGlobal: true},
+		{RM: rm.RM3, Model: perfmodel.Model3, Policy: rm.PolicyGreedy},
 		{RM: rm.RM1, Model: perfmodel.Model2, DisableOverheads: true},
 		{RM: rm.Idle},
 	}
@@ -127,10 +127,11 @@ func TestEngineMatchesDynamicReferenceAcrossSeeds(t *testing.T) {
 }
 
 // TestPolicyNameMatchesLegacyFlags pins the Config.Policy plumbing to
-// the optimizer selections the seed engines hard-wired: the "model3"
-// policy (and the empty default) reproduces the workspace reduction
-// path, and Policy "greedy" reproduces the legacy GreedyGlobal flag,
-// bit for bit, through both entry points.
+// the optimizer selection the seed engines hard-wired by default: the
+// "model3" policy reproduces the empty default, the workspace reduction
+// path, bit for bit, through both entry points. (The greedy policy is
+// pinned against the seed loops' greedy call sites by the cross-seed
+// tests above.)
 func TestPolicyNameMatchesLegacyFlags(t *testing.T) {
 	d := sharedDB(t)
 	w := apps(t, "mcf", "xalancbmk")
@@ -142,11 +143,9 @@ func TestPolicyNameMatchesLegacyFlags(t *testing.T) {
 		legacy Config
 	}{
 		{"model3-default", rm.PolicyModel3, Config{RM: rm.RM3, Model: perfmodel.Model3}},
-		{"greedy-flag", rm.PolicyGreedy, Config{RM: rm.RM3, Model: perfmodel.Model3, GreedyGlobal: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			named := tc.legacy
-			named.GreedyGlobal = false
 			named.Policy = tc.policy
 
 			wantS, err := Run(d, w, tc.legacy)

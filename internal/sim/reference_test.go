@@ -1,45 +1,73 @@
 // Frozen pre-unification engines, retained as equivalence baselines.
 //
-// Before PR 5 the package held two divergent event loops: the static
-// co-simulator (one application pinned per core, sim.go) and the dynamic
-// churn engine (per-core job queues, dynamic.go), each with the resource
-// manager's optimizer calls welded in. The unified engine replaced both;
-// these verbatim copies of the seed loops remain so the cross-seed
-// property tests (engine_equiv_test.go) can pin, bit for bit, that the
-// unified engine reproduces the outputs of both originals — the same
-// retained-reference pattern as db.BuildReference and
+// Before the engine unification the package held two divergent event
+// loops: the static co-simulator (one application pinned per core,
+// sim.go) and the dynamic churn engine (per-core job queues, dynamic.go),
+// each with the resource manager's optimizer calls welded in. The unified
+// engine replaced both; these verbatim copies of the seed loops remain so
+// the cross-seed property tests (engine_equiv_test.go) can pin, bit for
+// bit, that the unified engine reproduces the outputs of both originals —
+// the same retained-reference pattern as db.BuildReference and
 // rm.GlobalOptimizeReference. They share only the passive per-core
 // interval machinery (advance, finishInterval, startInterval,
-// applySetting, chargeRMOverhead, refreshCurve), which the refactor did
-// not touch; the event loops, RM invocation wiring and optimizer call
-// sites are frozen here.
-//
-// Nothing outside the tests calls into this file.
+// applySetting, chargeRMOverhead), which the refactor did not touch; the
+// event loops, RM invocation wiring, optimizer call sites and the seed's
+// recompute-every-boundary curve refresh (refreshCurveRef) are frozen
+// here, together with the finished-core state only the static loop
+// reads (refCore).
 package sim
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"qosrm/internal/bench"
 	"qosrm/internal/config"
+	"qosrm/internal/db"
+	"qosrm/internal/perfmodel"
 	"qosrm/internal/power"
 	"qosrm/internal/rm"
-
-	"qosrm/internal/db"
 )
 
-// refState is the seed engines' per-run working set: the curve memo,
-// the global reduction workspace and the assembly slices, exactly as
-// runState looked before the policy layer replaced the direct
-// Workspace.Optimize / GreedyGlobalOptimize call sites.
+// refState is the seed engines' per-run working set: the global
+// reduction workspace and the assembly slices, exactly as runState
+// looked before the policy layer replaced the direct Workspace.Optimize
+// / GreedyGlobalOptimize call sites.
 type refState struct {
-	cache      rm.CurveCache
 	ws         rm.Workspace
 	curves     []*rm.Curve
 	settings   []config.Setting
 	pinnedBase *rm.Curve
+}
+
+// refCore is the seed static engine's per-core state: the shared
+// interval machinery plus the finished flag and the curve a finished
+// core is pinned at.
+type refCore struct {
+	core
+	pinned *rm.Curve // set when the core finishes, at its final setting
+	fin    bool
+}
+
+// pinnedBaseline returns the shared pinned curve at the baseline
+// setting — the same for every run, so it is built once.
+var pinnedBaseline = sync.OnceValue(func() *rm.Curve {
+	return pinnedCurve(config.Baseline())
+})
+
+// refreshCurveRef is the seed's curve refresh: the invoking core's
+// energy curve recomputed by rm.Localize at every interval boundary,
+// from the interval that just finished, with no memoization.
+func refreshCurveRef(c *core, d *db.DB, cfg *Config) {
+	var pred rm.Predictor = &rm.ModelPredictor{Stats: perfmodel.FromDB(c.stats, c.setting), Model: cfg.Model}
+	if cfg.Perfect {
+		pred = &oracle{d: d, app: c.app.Name, phase: c.phase}
+	}
+	cv := rm.Localize(pred, cfg.RM, rm.Options{Alpha: c.alpha})
+	c.curve = &cv
+	c.hasCurve = true
 }
 
 // runStaticReference is the seed static co-simulator: the pre-refactor
@@ -53,12 +81,12 @@ func runStaticReference(d *db.DB, apps []*bench.Benchmark, cfg Config) (*Result,
 	target := float64(config.LongestAppInstrPaper) / float64(cfg.Scale)
 	interval := float64(cfg.Interval)
 
-	cores := make([]*core, n)
+	cores := make([]*refCore, n)
 	for i, a := range apps {
 		if d.NumPhases(a.Name) == 0 {
 			return nil, fmt.Errorf("sim: database has no data for %q", a.Name)
 		}
-		c := &core{
+		c := &refCore{core: core{
 			app:     a,
 			setting: config.Baseline(),
 			alpha:   cfg.Alpha,
@@ -66,7 +94,7 @@ func runStaticReference(d *db.DB, apps []*bench.Benchmark, cfg Config) (*Result,
 			runLen:  float64(a.TotalInstr) / float64(cfg.Scale),
 			phase:   a.PhaseAt(0),
 			res:     AppResult{Bench: a.Name},
-		}
+		}}
 		if c.runLen < interval {
 			c.runLen = interval // an application runs at least one interval
 		}
@@ -183,9 +211,9 @@ func runStaticReference(d *db.DB, apps []*bench.Benchmark, cfg Config) (*Result,
 // invokeRMStaticRef is the seed static engine's manager invocation, with
 // the optimizer call sites (workspace reduction or greedy heuristic)
 // welded in as they were before the policy layer.
-func invokeRMStaticRef(d *db.DB, cfg Config, cores []*core, inv, totalWays int, st *refState) error {
+func invokeRMStaticRef(d *db.DB, cfg Config, cores []*refCore, inv, totalWays int, st *refState) error {
 	c := cores[inv]
-	c.refreshCurve(d, &cfg, &st.cache)
+	refreshCurveRef(&c.core, d, &cfg)
 
 	curves := st.curves
 	for i, o := range cores {
@@ -200,7 +228,7 @@ func invokeRMStaticRef(d *db.DB, cfg Config, cores []*core, inv, totalWays int, 
 	}
 	var settings []config.Setting
 	var ok bool
-	if cfg.GreedyGlobal {
+	if cfg.Policy == rm.PolicyGreedy {
 		settings, ok = rm.GreedyGlobalOptimize(curves, totalWays)
 	} else {
 		settings = st.settings
@@ -471,7 +499,6 @@ func startNextRef(c *dynCore, d *db.DB, cfg *Config, now, interval float64) erro
 	c.phase = j.App.PhaseAt(0)
 	c.depart = j.DepartNs
 	c.res = AppResult{Bench: j.App.Name}
-	c.fin = false
 	c.hasCurve = false
 	c.curve = nil
 	return c.startInterval(d, now)
@@ -482,7 +509,7 @@ func startNextRef(c *dynCore, d *db.DB, cfg *Config, now, interval float64) erro
 func invokeRMDynamicRef(d *db.DB, cfg *Config, cores []*dynCore, inv, totalWays int, st *refState, refresh bool) error {
 	c := cores[inv]
 	if refresh {
-		c.refreshCurve(d, cfg, &st.cache)
+		refreshCurveRef(&c.core, d, cfg)
 	}
 
 	curves := st.curves
@@ -495,7 +522,7 @@ func invokeRMDynamicRef(d *db.DB, cfg *Config, cores []*dynCore, inv, totalWays 
 	}
 	var settings []config.Setting
 	var ok bool
-	if cfg.GreedyGlobal {
+	if cfg.Policy == rm.PolicyGreedy {
 		settings, ok = rm.GreedyGlobalOptimize(curves, totalWays)
 	} else {
 		settings = st.settings

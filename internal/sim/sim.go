@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"qosrm/internal/bench"
 	"qosrm/internal/config"
@@ -65,9 +64,6 @@ type Config struct {
 	// (exhaustive enumeration; exponential — small core counts only).
 	// See rm.PolicyNames.
 	Policy string
-	// GreedyGlobal is the legacy spelling of Policy: "greedy", kept for
-	// the ablation drivers; it applies only while Policy is empty.
-	GreedyGlobal bool
 	// DonateIdleWays lets a drained core — its queue exhausted, the
 	// unified engine's generalisation of the static engine's finished
 	// core — donate its LLC ways back to the global optimisation instead
@@ -78,11 +74,6 @@ type Config struct {
 	// Trace, when non-nil, receives one Event per interval boundary —
 	// the "global events" of Figure 5.
 	Trace func(Event)
-
-	// noCurveCache disables the per-run Localize memoization; it exists
-	// only so equivalence tests can compare the cached run against the
-	// seed's recompute-every-interval behaviour.
-	noCurveCache bool
 }
 
 // Event describes one interval boundary of the co-simulation.
@@ -120,9 +111,6 @@ func (c *Config) fill() {
 func (c *Config) policyName() string {
 	if c.Policy != "" {
 		return c.Policy
-	}
-	if c.GreedyGlobal {
-		return rm.PolicyGreedy
 	}
 	return rm.PolicyModel3
 }
@@ -208,10 +196,8 @@ type core struct {
 
 	curve    *rm.Curve
 	hasCurve bool
-	pinned   *rm.Curve // set when the core finishes, at its final setting
 
 	res AppResult
-	fin bool
 }
 
 // oracleKey memoizes perfect-predictor curves: the oracle reads the
@@ -354,23 +340,16 @@ func (c *core) startInterval(d *db.DB, now float64) error {
 // refreshCurve rebuilds the invoking core's energy curve from the
 // interval that just finished (its phase index was advanced already; the
 // completed interval's stats are still in c.stats), going through the
-// run's curve cache unless the equivalence tests disabled it.
+// run's curve cache.
 func (c *core) refreshCurve(d *db.DB, cfg *Config, cache *rm.CurveCache) {
 	opts := rm.Options{Alpha: c.alpha}
-	switch {
-	case cfg.Perfect && cfg.noCurveCache:
-		cv := rm.Localize(&oracle{d: d, app: c.app.Name, phase: c.phase}, cfg.RM, opts)
-		c.curve = &cv
-	case cfg.Perfect:
+	if cfg.Perfect {
 		// The oracle knows the upcoming interval's phase (c.phase was
 		// already advanced by finishInterval) and its true behaviour.
 		c.curve = cache.Get(curveKey{oracleKey{c.app.Name, c.phase}, c.alpha}, func() rm.Curve {
 			return rm.Localize(&oracle{d: d, app: c.app.Name, phase: c.phase}, cfg.RM, opts)
 		})
-	case cfg.noCurveCache:
-		cv := rm.Localize(&rm.ModelPredictor{Stats: perfmodel.FromDB(c.stats, c.setting), Model: cfg.Model}, cfg.RM, opts)
-		c.curve = &cv
-	default:
+	} else {
 		// The online models see only the completed interval's counters:
 		// c.stats still holds the record the interval ran under, and —
 		// records being shared grid entries — its pointer identifies the
@@ -428,12 +407,6 @@ func (c *core) chargeRMOverhead(cfg *Config, n int) {
 	c.stallNs += t
 	c.extraNs += t
 }
-
-// pinnedBaseline returns the shared pinned curve at the baseline
-// setting — the same for every run, so it is built once.
-var pinnedBaseline = sync.OnceValue(func() *rm.Curve {
-	return pinnedCurve(config.Baseline())
-})
 
 // pinnedCurve is feasible only at the given setting's allocation, used
 // for cores that have not yet reported statistics and for cores that

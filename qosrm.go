@@ -121,10 +121,11 @@
 // exactly that schedule and routes it through the same loop that drives
 // multiprogrammed churn, per-app QoS relaxation, mid-run QoS steps,
 // queue priorities and way donation. The pre-unification static and
-// dynamic loops are retained verbatim as references and cross-seed
-// property tests pin the unified engine bit-identical to both on their
-// shared feature set — the retained-reference pattern used by every
-// optimized pair in this package.
+// dynamic loops are retained verbatim as test-only references
+// (internal/sim/reference_test.go) and cross-seed property tests pin the
+// unified engine bit-identical to both on their shared feature set — the
+// retained-reference pattern used by every optimized pair in this
+// package.
 //
 // The allocation decision — per-core energy curves in, per-core
 // (core size, frequency, ways) settings out — sits behind the rm.Policy
@@ -207,7 +208,7 @@
 // Cluster topology: qosrmd nodes are peers, not replicas — each owns
 // its own database snapshot, queue and journal. There is no leader and
 // no shared state; membership is dynamic. The seed addresses a node
-// boots with (qosrmd -peers / -join, ServerOptions.Peers / Join) only
+// boots with (qosrmd -peers / -join, ServerOptions.Peers) only
 // bootstrap a gossip protocol (internal/cluster): every gossip interval
 // a node push-pulls its full member list — stable node ID, advertised
 // address, incarnation, liveness state, database params hash — with
@@ -586,14 +587,12 @@ func LoadScenarios(path string) ([]ScenarioSpec, error) {
 
 // Options configures Open.
 type Options struct {
-	// DBPath caches the simulation database; empty disables caching.
-	DBPath string
 	// SnapshotPath caches the database in the versioned binary snapshot
 	// format (internal/dbstore) — the same files cmd/dbgen emits and
 	// cmd/qosrmd boots from. A valid snapshot covering the requested
-	// benchmarks at the requested trace length is loaded (bit-identical
-	// to a fresh build); otherwise the database is built and the
-	// snapshot written back. Takes precedence over DBPath.
+	// benchmarks at the requested trace length and warmup is loaded
+	// (bit-identical to a fresh build); otherwise the database is built
+	// and the snapshot written back. Empty disables caching.
 	SnapshotPath string
 	// TraceLen is the measured instruction count per phase (default
 	// 65536); Warmup the cache warm-up prefix (default 16384).
@@ -620,9 +619,10 @@ type System struct {
 	policy string
 }
 
-// Open builds (or loads from Options.DBPath) the simulation database by
-// running the detailed core/cache simulations over every benchmark
-// phase and every core size, frequency corner and way allocation.
+// Open builds (or loads from Options.SnapshotPath) the simulation
+// database by running the detailed core/cache simulations over every
+// benchmark phase and every core size, frequency corner and way
+// allocation.
 func Open(o Options) (*System, error) {
 	if _, err := scenario.ParsePolicy(o.Policy); err != nil {
 		return nil, err
@@ -631,28 +631,11 @@ func Open(o Options) (*System, error) {
 	if len(benches) == 0 {
 		benches = bench.Suite()
 	}
-	opts := db.Options{
+	d, err := dbstore.LoadOrBuild(o.SnapshotPath, benches, db.Options{
 		TraceLen: o.TraceLen,
 		Warmup:   o.Warmup,
 		Workers:  o.Workers,
-	}
-	if o.SnapshotPath != "" {
-		filled := opts.WithDefaults()
-		if d, _, err := dbstore.Load(o.SnapshotPath); err == nil &&
-			d.TraceLen == filled.TraceLen && d.Warmup == filled.Warmup &&
-			d.Covers(benches) {
-			return &System{db: d, policy: o.Policy}, nil
-		}
-		d, err := db.Build(benches, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := dbstore.Save(o.SnapshotPath, d); err != nil {
-			return nil, err
-		}
-		return &System{db: d, policy: o.Policy}, nil
-	}
-	d, err := db.LoadOrBuild(o.DBPath, benches, opts)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package qosrm
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -157,26 +156,5 @@ func TestChurnWorkloadFacade(t *testing.T) {
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOpenCachesDatabase(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.gz")
-	opts := Options{
-		DBPath:     path,
-		TraceLen:   4096,
-		Warmup:     1024,
-		Benchmarks: []*Benchmark{MustBenchmark("povray")},
-	}
-	s1, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(opts) // loads from cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.DB().TraceLen != s2.DB().TraceLen {
-		t.Fatal("cache round trip broken")
 	}
 }
