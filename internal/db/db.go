@@ -101,7 +101,9 @@ type phaseData struct {
 	dense     []Stats
 }
 
-// DB is the simulation database for a set of benchmarks.
+// DB is the simulation database for a set of benchmarks. A phase's
+// records must not change once a run has read them: co-simulators key
+// memoized results by a record's address, or by benchmark and phase.
 type DB struct {
 	TraceLen int
 	Warmup   int

@@ -297,24 +297,27 @@ func Run(short bool) (*Report, error) {
 
 	// The per-interval RM invocation path of the co-simulator: one
 	// core's curve refresh plus the global redistribution across eight
-	// cores. Core 0 alternates between two records of mcf phase 0 (at
-	// the baseline and at the smallest grid setting), whose curves
+	// cores. Core 0 alternates between the curves of two records of mcf
+	// phase 0 (at the baseline and at the smallest grid setting), which
 	// differ, so every op changes one core's curve as an interval
-	// boundary does. The optimized path hits the curve cache and
+	// boundary does. The optimized path takes the two curves precomputed,
+	// as the database's warm curve table hands them to the engine, and
 	// recombines the one changed leaf-to-root path of the reduction
 	// workspace; the reference recomputes and reallocates, as the seed
 	// simulator did at every interval boundary.
 	preds := [2]rm.Predictor{pred, altPred}
-	keys := [2]*db.Stats{base, alt}
+	var warm [2]*rm.Curve
+	for i, p := range preds {
+		cv := rm.Localize(p, rm.RM3, rm.Options{})
+		warm[i] = &cv
+	}
 	add("RMInvocation", func(b *testing.B) {
-		var cache rm.CurveCache
 		var ws rm.Workspace
 		out := make([]config.Setting, cores)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p := preds[i%2]
-			refCurves[0] = cache.Get(keys[i%2], func() rm.Curve { return rm.Localize(p, rm.RM3, rm.Options{}) })
+			refCurves[0] = warm[i%2]
 			if !ws.Optimize(refCurves, config.TotalWays(cores), out) {
 				b.Fatal("infeasible")
 			}
@@ -332,7 +335,7 @@ func Run(short bool) (*Report, error) {
 	})
 
 	// A whole two-core co-simulation, exercising the integrated path
-	// (curve cache, workspace reduction, dense stats lookups).
+	// (curve table, workspace reduction, dense stats lookups).
 	add("CoSimulation", func(b *testing.B) {
 		apps := []*bench.Benchmark{mcf, povray}
 		b.ReportAllocs()

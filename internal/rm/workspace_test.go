@@ -80,31 +80,6 @@ func TestWorkspaceInfeasible(t *testing.T) {
 	}
 }
 
-// TestCurveCacheMemoizes checks the memoization contract: one compute
-// per key, shared pointer on hits.
-func TestCurveCacheMemoizes(t *testing.T) {
-	var cc CurveCache
-	calls := 0
-	compute := func() Curve {
-		calls++
-		cv := Curve{}
-		cv.Energy[0] = float64(calls)
-		return cv
-	}
-	a := cc.Get("k1", compute)
-	b := cc.Get("k1", compute)
-	if calls != 1 || a != b {
-		t.Fatalf("want one compute and a shared curve, got %d computes", calls)
-	}
-	c := cc.Get("k2", compute)
-	if calls != 2 || c == a {
-		t.Fatal("distinct keys must compute distinct curves")
-	}
-	if cc.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", cc.Len())
-	}
-}
-
 // BenchmarkGlobalOptimizeWorkspace8 measures a reused workspace on
 // curves that do not change between calls, which leaves only the root
 // solve; BenchmarkGlobalOptimize8 is the fresh-allocation entry point.
@@ -151,6 +126,14 @@ func FuzzWorkspaceOptimize(f *testing.F) {
 	f.Add(int64(4), []byte{22, 1, 9, 17, 0, 7, 15, 23, 31, 0, 54, 6, 1})
 	f.Add(int64(5), []byte{5, 13, 0, 30, 0, 62, 1})
 	f.Add(int64(-10), []byte{22, 49, 49, 49, 55})
+	// Finite windows (op 4, shape sel/8): an all-+Inf leaf, which makes
+	// the whole split infeasible until it is replaced, a pinned core,
+	// runs that touch only w=MinWays or only w=MaxWays, with interior
+	// +Inf entries, and the same shapes on two cores' leaves.
+	f.Add(int64(6), []byte{68, 0, 4, 68, 12, 7, 5, 0})
+	f.Add(int64(7), []byte{132, 196, 0, 140, 204, 7, 7, 148, 212, 3, 0})
+	f.Add(int64(8), []byte{132, 140, 148, 156, 164, 172, 180, 188, 7, 196, 204, 7})
+	f.Add(int64(9), []byte{10, 196, 132, 76, 4, 212, 148, 1, 7, 0})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]
@@ -192,12 +175,26 @@ func FuzzWorkspaceOptimize(f *testing.F) {
 				for wi := range cv.Pick {
 					cv.Pick[wi].Freq = rng.Intn(config.NumFreqs)
 				}
-			case 4: // pinned: one finite entry
+			case 4: // a finite window; sel/8 picks its shape
 				keep := rng.Intn(len(cv.Energy))
 				for wi := range cv.Energy {
 					cv.Energy[wi] = math.Inf(1)
 				}
-				cv.Energy[keep] = float64(rng.Intn(4)) / 4
+				lo, hi := keep, keep+1 // pinned: one finite entry
+				switch sel / 8 {
+				case 1: // every entry +Inf
+					hi = lo
+				case 2: // a run from MinWays that stops short of MaxWays
+					lo, hi = 0, max(keep, 1)
+				case 3: // a run from above MinWays up to MaxWays
+					lo, hi = max(keep, 1), len(cv.Energy)
+				}
+				for wi := lo; wi < hi; wi++ {
+					cv.Energy[wi] = float64(rng.Intn(4)) / 4
+					if wi > lo && wi < hi-1 && rng.Intn(4) == 0 {
+						cv.Energy[wi] = math.Inf(1) // an interior +Inf entry
+					}
+				}
 			case 5: // donor: every allocation at zero energy
 				cv.Energy = [len(cv.Energy)]float64{}
 			case 6: // new core count, so ensure rebuilds the tree

@@ -381,8 +381,9 @@ func Run(d *db.DB, s *Spec) (*Report, error) {
 
 // RunWS is Run reusing a dynamic-engine workspace across calls (nil for
 // a one-shot run): the idle twin and the managed run share its buffers,
-// and a sweep worker passes the same workspace for every spec so curve
-// memos and per-core state survive across the batch.
+// and a sweep worker passes the same workspace for every spec so
+// per-core state and the reduction arena survive across the batch.
+// Curves are shared by every run on d, through d's curve table.
 func RunWS(d *db.DB, s *Spec, ws *sim.RunWorkspace) (*Report, error) {
 	return RunCtx(nil, d, s, ws)
 }
@@ -472,8 +473,8 @@ func SweepContext(ctx context.Context, d *db.DB, specs []Spec, workers int) ([]*
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One dynamic-engine workspace per worker: buffers and curve
-			// memos are reused across the worker's share of the batch.
+			// One dynamic-engine workspace per worker: its buffers are
+			// reused across the worker's share of the batch.
 			var ws sim.RunWorkspace
 			for i := range ch {
 				if ctx != nil && ctx.Err() != nil {

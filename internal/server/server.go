@@ -345,6 +345,11 @@ type Server struct {
 	keys          map[string]string
 	forwardedKeys map[string]*forwardedRef
 
+	// workspaces pools *sim.RunWorkspace for synchronous scenarios, so a
+	// request reuses engine state and a reduction arena instead of
+	// allocating them.
+	workspaces sync.Pool
+
 	metrics metrics
 }
 
@@ -366,6 +371,7 @@ func New(d *db.DB, opts Options) (*Server, error) {
 		keys:          make(map[string]string),
 		forwardedKeys: make(map[string]*forwardedRef),
 		log:           opts.Logger,
+		workspaces:    sync.Pool{New: func() any { return new(sim.RunWorkspace) }},
 	}
 	s.metrics.policyRuns = make([]atomic.Int64, len(policyNames))
 	if opts.RatePerSec > 0 {
@@ -821,7 +827,9 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	rep, err := scenario.RunCtx(r.Context(), s.db, &spec, nil)
+	ws := s.workspaces.Get().(*sim.RunWorkspace)
+	rep, err := scenario.RunCtx(r.Context(), s.db, &spec, ws)
+	s.workspaces.Put(ws)
 	if err != nil {
 		s.runError(w, r, err)
 		return
@@ -1050,6 +1058,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gaugeFloat("qosrmd_uptime_seconds", time.Since(s.start).Seconds())
 	gaugeInt("qosrmd_db_benchmarks", int64(len(s.db.Benchmarks())))
 	gaugeInt("qosrmd_db_trace_len", int64(s.db.TraceLen))
+	curves, computed := sim.CurveStats(s.db)
+	gaugeInt("qosrmd_rm_curves", int64(curves))
+	counter("qosrmd_rm_curves_computed_total", computed)
 
 	fmt.Fprintf(w, "# TYPE qosrmd_http_request_duration_seconds histogram\n")
 	for rt := route(0); rt < routeCount; rt++ {

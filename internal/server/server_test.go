@@ -195,6 +195,66 @@ func TestScenarioMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestPooledScenariosMatchOneShot sends concurrent synchronous
+// scenarios that mix core counts, managers, policies and way donation,
+// so the pooled workspaces serve every shape in turn, and requires each
+// response body to be byte-identical to the encoding of a one-shot
+// scenario.Run of the same spec.
+func TestPooledScenariosMatchOneShot(t *testing.T) {
+	d := sharedDB(t)
+	_, ts := newTestServer(t, Options{})
+	const work = 3 * 100_000_000 * 2048
+	apps := []string{"mcf", "povray", "bwaves"}
+	var specs []scenario.Spec
+	var want [][]byte
+	for i, n := range []int{2, 4, 8} {
+		for j, kind := range []string{"RM1", "RM2", "RM3"} {
+			policy := rm.PolicyNames()[(i+j)%3]
+			if policy == rm.PolicyBrute && n > 2 {
+				policy = rm.PolicyGreedy // enumeration is exponential in cores
+			}
+			spec := scenario.Spec{
+				Name: fmt.Sprintf("pool-%d-%s", n, kind), RM: kind, Policy: policy,
+				DonateIdleWays: (i+j)%2 == 1,
+			}
+			for c := 0; c < n; c++ {
+				jobs := []scenario.JobSpec{{App: apps[c%3], Work: work * float64(1+c%2)}}
+				if c == 0 {
+					jobs = append(jobs, scenario.JobSpec{App: apps[(c+1)%3], Work: work})
+				}
+				spec.Cores = append(spec.Cores, scenario.CoreSpec{Jobs: jobs})
+			}
+			rep, err := scenario.Run(d, &spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(rep); err != nil {
+				t.Fatal(err)
+			}
+			specs = append(specs, spec)
+			want = append(want, buf.Bytes())
+		}
+	}
+
+	const clients = 4
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := range 2 * len(specs) {
+				i := (c + r) % len(specs)
+				code, raw := postJSONErr(ts.URL+"/v1/scenarios", &specs[i], nil)
+				if code != http.StatusOK || raw != string(want[i]) {
+					t.Errorf("%s: status %d, body differs from one-shot run:\n got %s\nwant %s", specs[i].Name, code, raw, want[i])
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxBodyBytes: 2048})
 
@@ -369,6 +429,8 @@ func TestMetrics(t *testing.T) {
 		"qosrmd_workers",
 		"qosrmd_db_benchmarks 3",
 		"qosrmd_scenario_queue_depth 0",
+		"# TYPE qosrmd_rm_curves gauge",
+		"# TYPE qosrmd_rm_curves_computed_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

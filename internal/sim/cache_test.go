@@ -8,7 +8,7 @@ import (
 )
 
 // TestCurveCacheEquivalence is the RM-path overhaul's correctness
-// contract: with the per-run curve cache and workspace reduction, every
+// contract: with the database's curve table and workspace reduction, every
 // co-simulation outcome must be identical to the seed static loop, which
 // recomputes Localize at every interval boundary (runStaticReference) —
 // across all RM kinds, models, the perfect oracle, and a relaxed alpha.

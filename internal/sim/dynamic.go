@@ -177,8 +177,8 @@ func RunDynamic(d *db.DB, dyn Dynamic, cfg Config) (*DynamicResult, error) {
 
 // RunDynamicWS is RunDynamic reusing a workspace across calls; ws may
 // be nil for a one-shot run. Results are identical to RunDynamic's —
-// the workspace only recycles buffers and memoized curves whose keys
-// pin all of their inputs.
+// the workspace only recycles buffers and memoized pinned and donor
+// curves, whose keys pin all of their inputs.
 func RunDynamicWS(d *db.DB, dyn Dynamic, cfg Config, ws *RunWorkspace) (*DynamicResult, error) {
 	return RunDynamicCtx(nil, d, dyn, cfg, ws)
 }

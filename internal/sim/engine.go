@@ -17,7 +17,6 @@ import (
 
 	"qosrm/internal/config"
 	"qosrm/internal/db"
-	"qosrm/internal/perfmodel"
 	"qosrm/internal/power"
 	"qosrm/internal/rm"
 )
@@ -292,27 +291,26 @@ const (
 
 // runState is the per-run working set of the RM invocation path, reused
 // across interval boundaries so the hot path stays allocation-free: the
-// curve cache memoizes Localize per measured (phase, setting) record,
-// the policy instance carries the allocation optimizer's scratch state
-// (the model3 reduction arena), and the slices are assembled in place on
-// every invocation.
+// database's curve table memoizes Localize per measured (phase, setting)
+// record, the policy instance carries the allocation optimizer's scratch
+// state (the model3 reduction arena), and the slices are assembled in
+// place on every invocation.
 type runState struct {
-	cache    rm.CurveCache
+	table    *curveTable
 	policy   rm.Policy
 	curves   []*rm.Curve
 	settings []config.Setting
 }
 
 // RunWorkspace is the reusable working set of co-simulations: the
-// per-core state, the sorted step schedule, the allocation policy's
-// buffers and the Localize memoization, all retained across runs so a
-// scenario sweep executes each spec (and its idle twin) without
-// rebuilding them. The curve cache is scoped to one (database, manager,
-// model, oracle) combination and resets itself when a run arrives with
-// a different one; the policy instance is swapped when a run selects a
-// different policy; everything else is config-independent. The zero
-// value is ready. Not safe for concurrent use — use one workspace per
-// sweep worker.
+// per-core state, the sorted step schedule and the allocation policy's
+// buffers, all retained across runs so a scenario sweep executes each
+// spec (and its idle twin) without rebuilding them. The policy instance
+// is swapped when a run selects a different policy; everything else is
+// config-independent. Local-optimisation curves are not kept here but
+// in the table of the database a run reads, which every workspace
+// shares. The zero value is ready. Not safe for concurrent use — use
+// one workspace per sweep worker.
 type RunWorkspace struct {
 	steps []QoSStep
 	cores []dynCore
@@ -322,30 +320,17 @@ type RunWorkspace struct {
 	// is reused every interval, which is why traced events are only
 	// valid during the callback (see Event.Allocations).
 	traceAlloc []int
-
-	// Scope of the memoized curves in st.cache.
-	db      *db.DB
-	rm      rm.Kind
-	model   perfmodel.Kind
-	perfect bool
-	scoped  bool
 }
 
 // scope prepares the workspace's run state for a run against (d, cfg):
 // buffers are resized for n cores, the policy instance is (re)built for
-// the run's effective policy name, and the curve cache is dropped unless
-// the run reads the same database with the same manager, model and
-// oracle mode that filled it (alpha is part of every cache key, and the
-// policy only consumes curves, so neither needs cache scoping).
-// Idle-manager runs never invoke the RM, so they neither read nor
-// re-scope the cache — a spec's idle twin leaves the managed
-// configuration's memo intact.
+// the run's effective policy name, and d's curve table is resolved once
+// for the whole run. Idle-manager runs never invoke the RM, so they
+// skip the table.
 func (w *RunWorkspace) scope(d *db.DB, cfg *Config, n int) (*runState, error) {
-	if cfg.RM != rm.Idle &&
-		(!w.scoped || w.db != d || w.rm != cfg.RM || w.model != cfg.Model || w.perfect != cfg.Perfect) {
-		w.st.cache.Reset()
-		w.db, w.rm, w.model, w.perfect = d, cfg.RM, cfg.Model, cfg.Perfect
-		w.scoped = true
+	w.st.table = nil
+	if cfg.RM != rm.Idle {
+		w.st.table = curvesFor(d)
 	}
 	if name := cfg.policyName(); w.st.policy == nil || w.st.policy.Name() != name {
 		p, err := rm.NewPolicy(name)
@@ -705,7 +690,7 @@ func transition(d *db.DB, cfg *Config, cores []*dynCore, inv, totalWays int, st 
 func invokeRM(d *db.DB, cfg *Config, cores []*dynCore, inv, totalWays int, st *runState, refresh bool) error {
 	c := cores[inv]
 	if refresh {
-		c.refreshCurve(d, cfg, &st.cache)
+		c.refreshCurve(d, cfg, st.table)
 	}
 
 	curves := st.curves

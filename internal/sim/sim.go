@@ -200,23 +200,6 @@ type core struct {
 	res AppResult
 }
 
-// oracleKey memoizes perfect-predictor curves: the oracle reads the
-// upcoming phase directly, so its curve depends only on (bench, phase).
-type oracleKey struct {
-	bench string
-	phase int
-}
-
-// curveKey scopes a memoized curve to the QoS relaxation it was computed
-// with. A run no longer has a single alpha — dynamic runs carry per-app
-// relaxations and mid-run QoS steps — so the predictor identity (a
-// shared *db.Stats record or an oracleKey) alone does not pin down the
-// local optimisation's inputs.
-type curveKey struct {
-	pred  any
-	alpha float64
-}
-
 // StaticWorkload wraps the paper's static evaluation shape — one
 // application pinned per core, running to the default instruction
 // target — as the degenerate dynamic schedule the unified engine
@@ -340,23 +323,26 @@ func (c *core) startInterval(d *db.DB, now float64) error {
 // refreshCurve rebuilds the invoking core's energy curve from the
 // interval that just finished (its phase index was advanced already; the
 // completed interval's stats are still in c.stats), going through the
-// run's curve cache.
-func (c *core) refreshCurve(d *db.DB, cfg *Config, cache *rm.CurveCache) {
-	opts := rm.Options{Alpha: c.alpha}
+// database's curve table.
+func (c *core) refreshCurve(d *db.DB, cfg *Config, table *curveTable) {
+	// The online models see only the completed interval's counters:
+	// c.stats still holds the record the interval ran under, and —
+	// records being shared grid entries — its pointer identifies the
+	// (bench, phase, setting) the predictor is built from. The oracle
+	// knows the upcoming interval's phase (c.phase was already advanced
+	// by finishInterval) and its true behaviour.
+	k := curveKey{rec: c.stats, alpha: c.alpha, rm: cfg.RM, model: cfg.Model}
 	if cfg.Perfect {
-		// The oracle knows the upcoming interval's phase (c.phase was
-		// already advanced by finishInterval) and its true behaviour.
-		c.curve = cache.Get(curveKey{oracleKey{c.app.Name, c.phase}, c.alpha}, func() rm.Curve {
-			return rm.Localize(&oracle{d: d, app: c.app.Name, phase: c.phase}, cfg.RM, opts)
-		})
-	} else {
-		// The online models see only the completed interval's counters:
-		// c.stats still holds the record the interval ran under, and —
-		// records being shared grid entries — its pointer identifies the
-		// (bench, phase, setting) the predictor is built from.
-		c.curve = cache.Get(curveKey{c.stats, c.alpha}, func() rm.Curve {
-			return rm.Localize(&rm.ModelPredictor{Stats: perfmodel.FromDB(c.stats, c.setting), Model: cfg.Model}, cfg.RM, opts)
-		})
+		k = curveKey{bench: c.app.Name, phase: c.phase, alpha: c.alpha, rm: cfg.RM}
+	}
+	if c.curve = table.load(k); c.curve == nil {
+		var p rm.Predictor
+		if cfg.Perfect {
+			p = &oracle{d: d, app: c.app.Name, phase: c.phase}
+		} else {
+			p = &rm.ModelPredictor{Stats: perfmodel.FromDB(c.stats, c.setting), Model: cfg.Model}
+		}
+		c.curve = table.store(k, rm.Localize(p, cfg.RM, rm.Options{Alpha: c.alpha}))
 	}
 	c.hasCurve = true
 }

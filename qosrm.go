@@ -79,38 +79,44 @@
 // DatabaseBuildParallel perfbench entries record the scaling curve and
 // Report.ScalingWarning flags a flat curve on multi-core machines.
 //
-// RM invocation path (sim.Run): local optimisation curves are memoized
-// per run in an rm.CurveCache — the RM kind, model and alpha are fixed
-// for a run, and a model-predicted curve depends only on the measured
-// interval's database record (benchmark, phase, setting), an oracle
-// curve only on (benchmark, phase) — so rm.Localize runs once per
-// distinct record a core visits instead of at every interval boundary.
-// The global pairwise curve reduction reuses an rm.Workspace, the
-// reduction tree as a preallocated arena that also remembers the
-// previous call: each leaf keeps a copy of its core's energies and an
-// inner node recombines only when a child changed, so a boundary where
-// only the invoking core's curve changed recomputes one leaf-to-root
-// path. The root is never combined in full; it is solved for the one
-// total it needs, E(totalWays). Settings go into a reused slice, making
-// the per-interval path allocation-free. Database lookups (db.Stats)
-// index into a per-phase dense grid of records, materialised once per
-// phase — corner records copied, off-corner records interpolated — and
-// shared read-only thereafter.
+// RM invocation path (sim.Run): rm.Localize is a pure function of the
+// measured interval's database record (benchmark, phase, setting), or
+// of (benchmark, phase) for the perfect oracle, plus alpha, the RM kind
+// and the model. Its curves are memoized in one table per database,
+// shared by every run against it: sweep workers, qosrmd's job workers
+// and its synchronous requests. So Localize runs once per distinct key
+// the database ever sees instead of at every interval boundary. The
+// table is bounded (it clears itself at 32768 curves and refills), its
+// warm lookups take no lock and allocate nothing, and it is attached to
+// the database through a weak-keyed registry in internal/sim, so a
+// dropped database takes its table with it. The global pairwise curve
+// reduction reuses an rm.Workspace, the reduction tree as a preallocated
+// arena that also remembers the previous call: each leaf keeps a copy of
+// its core's energies and an inner node recombines only when a child
+// changed, so a boundary where only the invoking core's curve changed
+// recomputes one leaf-to-root path. Each node also keeps its finite
+// window, the range outside which every energy is +Inf, and combines
+// walk only the windows. The root is never combined in full; it is
+// solved for the one total it needs, E(totalWays). Settings go into a
+// reused slice, making the per-interval path allocation-free. Database
+// lookups (db.Stats) index into a per-phase dense grid of records,
+// materialised once per phase — corner records copied, off-corner
+// records interpolated — and shared read-only thereafter.
 //
 // Cache invalidation is structural rather than temporal: every cache
 // key pins the full set of inputs its value depends on (phase
 // preparation per (benchmark, phase, trace length, warmup); replay
-// dedup per delivery sequence; curve memo per predictor input record;
-// dense grid per phase), and all cached values are immutable once
-// published, so nothing is ever invalidated in place. The reduction
-// tree is the one memo that is compared rather than keyed: it checks
-// every leaf's energies bit for bit on each call, so its result depends
-// only on the curves' contents, never on the order of calls.
+// dedup per delivery sequence; curve table per predictor input record,
+// alpha, RM kind and model; dense grid per phase), and all cached
+// values are immutable once published, so nothing is ever invalidated
+// in place. The reduction tree is the one memo that is compared rather
+// than keyed: it checks every leaf's energies bit for bit on each call,
+// so its result depends only on the curves' contents, never on the
+// order of calls.
 //
 // The scenario sweep reuses a sim.RunWorkspace per worker — per-core
-// state, the allocation policy's arena and the curve memoization
-// (re-scoped automatically when a run changes database, manager, model,
-// policy or oracle mode) survive across a spec and its idle twin.
+// state and the allocation policy's arena survive across a spec and its
+// idle twin — and qosrmd pools workspaces for synchronous scenarios.
 //
 // # Engine & policy architecture
 //
