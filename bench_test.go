@@ -2,7 +2,7 @@ package qosrm
 
 // One testing.B benchmark per paper table/figure. Each measures the cost
 // of regenerating that artefact from a built database (the database
-// build itself is measured by BenchmarkDatabaseBuild).
+// build itself is measured by internal/db's BenchmarkDatabaseBuild).
 //
 // Run with:
 //
@@ -37,34 +37,6 @@ func benchContext(b *testing.B) *experiments.Context {
 	ctx := experiments.NewContext(benchDB)
 	ctx.PerScenario = 2
 	return ctx
-}
-
-// BenchmarkDatabaseBuild measures the detailed-simulation sweep for one
-// benchmark's phases over the full configuration space (the paper's
-// Sniper+McPAT stage, per application). Compare against
-// BenchmarkDatabaseBuildReference, the retained seed sweep; the
-// internal/perfbench suite tracks both (plus the full-suite build) in
-// the committed BENCH_*.json trajectory.
-func BenchmarkDatabaseBuild(b *testing.B) {
-	mcf := MustBenchmark("mcf")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Build([]*bench.Benchmark{mcf}, db.Options{TraceLen: 8192, Warmup: 2048, Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDatabaseBuildReference is the seed database sweep on the
-// same workload: fresh ATD warmup and one timing walk per grid point.
-func BenchmarkDatabaseBuildReference(b *testing.B) {
-	mcf := MustBenchmark("mcf")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.BuildReference([]*bench.Benchmark{mcf}, db.Options{TraceLen: 8192, Warmup: 2048, Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkTableI(b *testing.B) {

@@ -118,9 +118,6 @@ func Dial(baseURL string) (*Client, error) {
 	return c, nil
 }
 
-// Base returns the base URL this client talks to.
-func (c *Client) Base() string { return c.base }
-
 // At returns a client for another node of the same cluster — the
 // JobStatus.Origin of a forwarded submit — sharing this client's HTTP
 // transport and retry budget. The origin node is where a forwarded job
@@ -216,17 +213,6 @@ func NewIdempotencyKey() string {
 		return ""
 	}
 	return "qosrm-" + hex.EncodeToString(b[:])
-}
-
-// ClusterView fetches a node's membership view (GET /v1/cluster): its
-// self entry plus every member it tracks. This is the pull-only half of
-// the anti-entropy protocol, usable by any observer.
-func (c *Client) ClusterView(ctx context.Context) (*cluster.Exchange, error) {
-	var out cluster.Exchange
-	if err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // ExchangeCluster runs one push-pull anti-entropy exchange (POST

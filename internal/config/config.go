@@ -258,26 +258,3 @@ func (s Setting) String() string {
 // system (8 ways per core, Table I); the global optimisation distributes
 // exactly A ways.
 func TotalWays(n int) int { return L3WaysPerCore * n }
-
-// System describes one simulated multicore: the number of cores and the
-// interval length used by the RM. Zero values are replaced by defaults.
-type System struct {
-	Cores    int
-	Interval int64 // instructions per RM interval
-}
-
-// DefaultSystem returns an n-core system with the paper's interval.
-func DefaultSystem(n int) System {
-	return System{Cores: n, Interval: IntervalInstructions}
-}
-
-// Validate checks the system description.
-func (s System) Validate() error {
-	if s.Cores < 1 {
-		return fmt.Errorf("config: system needs at least one core, got %d", s.Cores)
-	}
-	if s.Interval <= 0 {
-		return fmt.Errorf("config: interval must be positive, got %d", s.Interval)
-	}
-	return nil
-}

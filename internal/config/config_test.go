@@ -182,18 +182,6 @@ func TestPrevRMInstructionOverhead(t *testing.T) {
 	}
 }
 
-func TestSystemValidate(t *testing.T) {
-	if err := DefaultSystem(4).Validate(); err != nil {
-		t.Errorf("default system invalid: %v", err)
-	}
-	if err := (System{Cores: 0, Interval: 1}).Validate(); err == nil {
-		t.Error("zero cores should fail validation")
-	}
-	if err := (System{Cores: 1, Interval: 0}).Validate(); err == nil {
-		t.Error("zero interval should fail validation")
-	}
-}
-
 func TestCacheGeometryScaling(t *testing.T) {
 	// The scaled hierarchy must preserve Table I associativities and the
 	// represented sizes must divide exactly by MemScale.

@@ -20,7 +20,6 @@ package db
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -70,9 +69,6 @@ type Stats struct {
 
 // TPI returns the ground-truth time per instruction in nanoseconds.
 func (s *Stats) TPI() float64 { return s.TimeNs / s.Instructions }
-
-// CoreNs returns the frequency-scalable part of the execution time.
-func (s *Stats) CoreNs() float64 { return s.BaseNs + s.BranchNs + s.CacheNs }
 
 // ActualEnergyJ returns the ground-truth core+DRAM energy of executing
 // n instructions of this phase at setting set (uncore energy is charged
@@ -152,7 +148,6 @@ func (o Options) WithDefaults() Options {
 // first) and shared by all of the phase's sweep shards.
 type phasePrep struct {
 	once sync.Once
-	err  error
 	tail *cpu.Annotated
 	warm *atd.ATD
 
@@ -203,12 +198,10 @@ type replayNode struct {
 	ready    chan struct{}
 }
 
-func (pp *phasePrep) prepare(p trace.Params, opts Options) error {
+// prepare computes the phase preparation once. Build has validated p
+// before any shard starts.
+func (pp *phasePrep) prepare(p trace.Params, opts Options) {
 	pp.once.Do(func() {
-		if err := p.Validate(); err != nil {
-			pp.err = err
-			return
-		}
 		insts := trace.Generate(p, opts.Warmup+opts.TraceLen)
 		full := cpu.Annotate(insts)
 		pp.tail = full.Tail(opts.Warmup)
@@ -217,7 +210,6 @@ func (pp *phasePrep) prepare(p trace.Params, opts Options) error {
 		pp.events = pp.tail.LLCEvents()
 		pp.tree.state = pp.warm
 	})
-	return pp.err
 }
 
 // replay returns an ATD that has observed the phase's LLC events in the
@@ -347,9 +339,10 @@ func (pp *phasePrep) feed(a *atd.ATD, seq []int32) *atd.ATD {
 }
 
 // Build runs the detailed simulations for every phase of every benchmark
-// in benches, in parallel across (phase, core size) shards. Worker
-// failures are all collected and returned joined; the database is not
-// usable on error.
+// in benches, in parallel across (phase, core size) shards. Every
+// benchmark is validated, the trace parameters of all its phases
+// included, before any shard starts, so an invalid input fails the build
+// without simulating anything and a shard cannot fail.
 //
 // The sweep shares everything that is setting-independent: the trace is
 // generated and annotated once per phase; all forty-five (frequency
@@ -359,11 +352,11 @@ func (pp *phasePrep) feed(a *atd.ATD, seq []int32) *atd.ATD {
 // a per-phase replay tree over the ATD — warmed once, since warmup does
 // not depend on the setting — whose copy-on-write snapshots let runs
 // sharing a delivery-sequence prefix replay only their divergent
-// suffixes. The result is bit-identical to the reference sweep
-// (BuildReference), which re-derives all of this for each of the ~135
-// runs of a phase.
+// suffixes. The result is bit-identical to the seed sweep, which
+// re-derived all of this for each of the ~135 runs of a phase; the
+// package's tests keep it as BuildReference.
 func Build(benches []*bench.Benchmark, opts Options) (*DB, error) {
-	return build(context.Background(), benches, opts, false, nil)
+	return build(context.Background(), benches, opts, nil)
 }
 
 // Workspace retains the per-worker sweep scratches of a database build
@@ -382,7 +375,7 @@ type Workspace struct {
 // Build is db.Build reusing ws's sweep scratches. Results are
 // bit-identical to db.Build's.
 func (ws *Workspace) Build(benches []*bench.Benchmark, opts Options) (*DB, error) {
-	return build(context.Background(), benches, opts, false, ws)
+	return build(context.Background(), benches, opts, ws)
 }
 
 // scratch returns the retained scratch of worker w, growing the pool on
@@ -400,18 +393,10 @@ func (ws *Workspace) scratch(w int) *cpu.SweepScratch {
 // a shard is a few milliseconds of simulation). A cancelled build
 // returns ctx's error and no database.
 func BuildContext(ctx context.Context, benches []*bench.Benchmark, opts Options) (*DB, error) {
-	return build(ctx, benches, opts, false, nil)
+	return build(ctx, benches, opts, nil)
 }
 
-// BuildReference is the seed implementation of Build, retained as the
-// equivalence baseline for tests and for the perfbench suite. It
-// re-creates and re-warms the ATD for every run and walks each (core
-// size, frequency, ways) point separately via cpu.RunReference.
-func BuildReference(benches []*bench.Benchmark, opts Options) (*DB, error) {
-	return build(context.Background(), benches, opts, true, nil)
-}
-
-func build(ctx context.Context, benches []*bench.Benchmark, opts Options, reference bool, ws *Workspace) (*DB, error) {
+func build(ctx context.Context, benches []*bench.Benchmark, opts Options, ws *Workspace) (*DB, error) {
 	opts.fill()
 	d := &DB{
 		TraceLen: opts.TraceLen,
@@ -423,7 +408,7 @@ func build(ctx context.Context, benches []*bench.Benchmark, opts Options, refere
 		phase int
 		prep  *phasePrep
 		pd    *phaseData
-		ci    int // core-size shard; -1 = whole phase (reference mode)
+		ci    int // core-size shard
 	}
 	var perPhase [][]job
 	for _, b := range benches {
@@ -432,10 +417,6 @@ func build(ctx context.Context, benches []*bench.Benchmark, opts Options, refere
 		}
 		d.Phases[b.Name] = make([]*phaseData, len(b.Phases))
 		for p := range b.Phases {
-			if reference {
-				perPhase = append(perPhase, []job{{b: b, phase: p, ci: -1}})
-				continue
-			}
 			prep := &phasePrep{}
 			pd := &phaseData{}
 			d.Phases[b.Name][p] = pd
@@ -467,18 +448,7 @@ func build(ctx context.Context, benches []*bench.Benchmark, opts Options, refere
 		}
 	}
 
-	type phaseRef struct {
-		name  string
-		phase int
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-		// errSeen deduplicates failures per phase: a shared prepare()
-		// failure would otherwise be reported once per sweep shard.
-		errSeen = make(map[phaseRef]bool)
-	)
+	var wg sync.WaitGroup
 	// The buffered channel lets submission complete without serialising
 	// on slow workers.
 	ch := make(chan job, len(jobs))
@@ -494,26 +464,7 @@ func build(ctx context.Context, benches []*bench.Benchmark, opts Options, refere
 				if ctx.Err() != nil {
 					continue // cancelled: drain the queue without simulating
 				}
-				var err error
-				if j.ci < 0 {
-					var pd *phaseData
-					pd, err = buildPhaseReference(j.b.Phases[j.phase].Params, opts)
-					if err == nil {
-						mu.Lock()
-						d.Phases[j.b.Name][j.phase] = pd
-						mu.Unlock()
-					}
-				} else {
-					err = buildShard(j.b.Phases[j.phase].Params, opts, j.prep, j.pd, j.ci, scratch)
-				}
-				if err != nil {
-					mu.Lock()
-					if ref := (phaseRef{j.b.Name, j.phase}); !errSeen[ref] {
-						errSeen[ref] = true
-						errs = append(errs, fmt.Errorf("db: %s phase %d: %w", j.b.Name, j.phase, err))
-					}
-					mu.Unlock()
-				}
+				buildShard(j.b.Phases[j.phase].Params, opts, j.prep, j.pd, j.ci, scratch)
 			}
 		}()
 	}
@@ -523,14 +474,9 @@ func build(ctx context.Context, benches []*bench.Benchmark, opts Options, refere
 	close(ch)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		// A cancelled build must not look partially usable either, and
-		// skipped shards are not per-phase failures worth enumerating.
+		// A cancelled build must not look partially usable: the phase
+		// map is dropped with the error.
 		return nil, fmt.Errorf("db: build cancelled: %w", err)
-	}
-	if len(errs) > 0 {
-		// A failed build must not look partially usable: every worker
-		// error is reported, and the phase map is dropped with the error.
-		return nil, errors.Join(errs...)
 	}
 	return d, nil
 }
@@ -538,10 +484,8 @@ func build(ctx context.Context, benches []*bench.Benchmark, opts Options, refere
 // buildShard simulates one core size of a phase — all three frequency
 // corners at all fifteen way allocations — in a single corner-batched
 // sweep walk over the shared phase preparation.
-func buildShard(p trace.Params, opts Options, prep *phasePrep, pd *phaseData, ci int, scratch *cpu.SweepScratch) error {
-	if err := prep.prepare(p, opts); err != nil {
-		return err
-	}
+func buildShard(p trace.Params, opts Options, prep *phasePrep, pd *phaseData, ci int, scratch *cpu.SweepScratch) {
+	prep.prepare(p, opts)
 	if prep.tail.L2Misses == 0 {
 		// No measured access ever reaches the LLC, so the timing walk
 		// cannot depend on the way allocation and the ATD observes
@@ -557,7 +501,7 @@ func buildShard(p trace.Params, opts Options, prep *phasePrep, pd *phaseData, ci
 				fillStats(&pd.Runs[ci][k][wi], &r, prep.warm)
 			}
 		}
-		return nil
+		return
 	}
 	var freqs [cpu.NumCorners]float64
 	for k, fi := range fCorners {
@@ -580,38 +524,6 @@ func buildShard(p trace.Params, opts Options, prep *phasePrep, pd *phaseData, ci
 			fillStats(&pd.Runs[ci][k][wi], &results[k][wi], a)
 		}
 	}
-	return nil
-}
-
-// buildPhaseReference simulates one phase over the full configuration
-// space exactly as the seed did: fresh ATD and warmup replay per run,
-// one timing walk per grid point.
-func buildPhaseReference(p trace.Params, opts Options) (*phaseData, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	insts := trace.Generate(p, opts.Warmup+opts.TraceLen)
-	full := cpu.Annotate(insts)
-	tail := full.Tail(opts.Warmup)
-
-	pd := &phaseData{}
-	for ci, c := range config.Sizes {
-		for k, fi := range fCorners {
-			for wi := 0; wi < NumWays; wi++ {
-				w := config.MinWays + wi
-				a := atd.MustNew(0)
-				full.WarmATDReference(a, opts.Warmup)
-				r := cpu.RunReference(tail, cpu.RunConfig{
-					Core:    c,
-					Ways:    w,
-					FreqGHz: config.FreqGHz(fi),
-					ATD:     a,
-				})
-				fillStats(&pd.Runs[ci][k][wi], &r, a)
-			}
-		}
-	}
-	return pd, nil
 }
 
 // fillStats converts one timing-run result and its ATD observations into
@@ -651,7 +563,8 @@ func fillStats(st *Stats, r *cpu.Result, a *atd.ATD) {
 // off-corner records interpolated) on the phase's first lookup, and
 // subsequent calls are an index into that cache with no allocation or
 // re-interpolation. Callers must treat the record as read-only; the
-// values are bit-identical to StatsReference's freshly computed ones.
+// values are bit-identical to the seed's per-call interpolation, which
+// the package's tests keep as StatsReference.
 func (d *DB) Stats(benchName string, phase int, set config.Setting) (*Stats, error) {
 	pd, err := d.phase(benchName, phase, set)
 	if err != nil {
@@ -660,17 +573,6 @@ func (d *DB) Stats(benchName string, phase int, set config.Setting) (*Stats, err
 	pd.denseOnce.Do(pd.materialize)
 	idx := (int(set.Core)*config.NumFreqs+set.Freq)*NumWays + set.Ways - config.MinWays
 	return &pd.dense[idx], nil
-}
-
-// StatsReference is the seed implementation of Stats, retained as the
-// equivalence baseline for tests and benchmarks: it recomputes the
-// record on every call and returns a private copy.
-func (d *DB) StatsReference(benchName string, phase int, set config.Setting) (*Stats, error) {
-	pd, err := d.phase(benchName, phase, set)
-	if err != nil {
-		return nil, err
-	}
-	return pd.lookup(set.Core, set.Freq, set.Ways-config.MinWays), nil
 }
 
 // phase validates a lookup and resolves its phase data.

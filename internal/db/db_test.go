@@ -7,6 +7,7 @@ import (
 
 	"qosrm/internal/bench"
 	"qosrm/internal/config"
+	"qosrm/internal/trace"
 )
 
 var (
@@ -186,10 +187,26 @@ func TestActualEnergyScalesLinearly(t *testing.T) {
 	}
 }
 
+// TestBuildValidatesBenchmarks pins the up-front check that lets the
+// sweep's workers run without error paths: an invalid benchmark fails
+// the build before any shard starts, including one whose only fault is
+// a later phase's trace parameters.
 func TestBuildValidatesBenchmarks(t *testing.T) {
-	bad := &bench.Benchmark{Name: "bad"}
-	if _, err := Build([]*bench.Benchmark{bad}, Options{TraceLen: 1024}); err == nil {
-		t.Fatal("invalid benchmark must fail the build")
+	valid := mustBench(t, "mcf").Phases[0].Params
+	for name, bad := range map[string]*bench.Benchmark{
+		"no phases": {Name: "bad"},
+		"invalid phase params": {
+			Name:       "badparams",
+			TotalInstr: 1,
+			Phases: []bench.Phase{
+				{Params: valid, Weight: 0.5},
+				{Params: trace.Params{LoadFrac: -1}, Weight: 0.5},
+			},
+		},
+	} {
+		if d, err := Build([]*bench.Benchmark{bad}, Options{TraceLen: 1024}); err == nil || d != nil {
+			t.Errorf("%s: invalid benchmark must fail the build, got %v", name, err)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ const NumCorners = len(fCorners)
 type CornerRuns = [config.NumSizes][NumCorners][NumWays]Stats
 
 // New returns an empty database shell with the given build parameters,
-// ready to receive phases via AddPhase — the entry point for snapshot
+// ready to receive phases via AddPhases — the entry point for snapshot
 // loaders.
 func New(traceLen, warmup int) *DB {
 	return &DB{
@@ -32,24 +32,15 @@ func New(traceLen, warmup int) *DB {
 	}
 }
 
-// AddPhase appends an empty phase to the named benchmark and returns a
-// pointer to its corner records for the caller to fill. The returned
-// block must be fully populated before the database is read.
-func (d *DB) AddPhase(benchName string) *CornerRuns {
-	pd := &phaseData{}
-	d.Phases[benchName] = append(d.Phases[benchName], pd)
-	return &pd.Runs
-}
-
 // AddPhases appends n empty phases to the named benchmark and returns
-// their corner blocks in order — AddPhase batched for loaders that know
-// the phase count up front: one backing allocation and one exactly-sized
-// pointer slice per benchmark instead of a heap object and an append
-// step per phase.
+// pointers to their corner records, in order, for the caller to fill.
+// The returned blocks must be fully populated before the database is
+// read. The phases share one backing allocation and one exactly-sized
+// pointer slice per benchmark.
 func (d *DB) AddPhases(benchName string, n int) []*CornerRuns {
 	if n == 0 {
-		// Match the AddPhase loop: a zero-phase benchmark leaves the
-		// map untouched rather than gaining an entry with a nil slice.
+		// A zero-phase benchmark leaves the map untouched rather than
+		// gaining an entry with a nil slice.
 		return nil
 	}
 	block := make([]phaseData, n)
@@ -69,7 +60,7 @@ func (d *DB) AddPhases(benchName string, n int) []*CornerRuns {
 }
 
 // Corners returns a read-only view of the simulated corner records of
-// one phase — the serializer-side counterpart of AddPhase.
+// one phase — the serializer-side counterpart of AddPhases.
 func (d *DB) Corners(benchName string, phase int) (*CornerRuns, error) {
 	phases, ok := d.Phases[benchName]
 	if !ok {

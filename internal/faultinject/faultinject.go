@@ -131,9 +131,6 @@ func EnableAll(specs string) error {
 	return nil
 }
 
-// Disable disarms the named failpoint.
-func Disable(name string) { Enable(name, "off") }
-
 // Reset disarms every failpoint and zeroes the hit counters.
 func Reset() {
 	mu.Lock()

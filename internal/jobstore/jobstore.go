@@ -342,9 +342,6 @@ func (j *Journal) Size() int64 {
 	return j.off
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close closes the journal file. Appends after Close fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

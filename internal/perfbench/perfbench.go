@@ -1,16 +1,16 @@
 // Package perfbench is the repository's performance measurement layer:
-// a fixed suite of benchmarks over the hot paths of the reproduction —
-// the detailed-simulation database sweep, the per-interval resource-
-// manager invocation (Localize + GlobalOptimize), the database record
-// lookup, and a whole co-simulation — each measured both through its
-// optimized implementation and through the retained seed reference.
+// a fixed suite of benchmarks over the production hot paths of the
+// reproduction — the detailed-simulation database sweep and its
+// snapshot store, the per-interval resource-manager invocation
+// (Localize + Workspace.Optimize), the database record lookup, whole
+// co-simulations, scenario sweeps and one HTTP request.
 //
 // The suite is executed by cmd/perfbench, which serialises the results
 // as a BENCH_<n>.json file committed to the repository so the
-// performance trajectory is tracked across PRs. Because the optimized
-// and reference paths are asserted bit-identical by the equivalence
-// tests, the ratios reported here measure pure implementation speed,
-// not behavioural drift.
+// performance trajectory is tracked across PRs. The retained seed
+// implementations live in their packages' tests, and `go test -bench`
+// pairs there measure the production paths against them (see
+// EXPERIMENTS.md).
 package perfbench
 
 import (
@@ -158,10 +158,10 @@ func Run(short bool) (*Report, error) {
 		Model: perfmodel.Model3,
 	}
 	const cores = 8
-	refCurves := make([]*rm.Curve, cores)
-	for i := range refCurves {
+	curves := make([]*rm.Curve, cores)
+	for i := range curves {
 		cv := rm.Localize(pred, rm.RM3, rm.Options{})
-		refCurves[i] = &cv
+		curves[i] = &cv
 	}
 
 	add := func(name string, f func(b *testing.B)) {
@@ -177,19 +177,11 @@ func Run(short bool) (*Report, error) {
 		})
 	}
 
-	// The database sweep, optimized vs seed, on the same workload.
+	// The database sweep.
 	add("DatabaseBuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := db.Build(benches, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	add("DatabaseBuildReference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.BuildReference(benches, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -268,10 +260,9 @@ func Run(short bool) (*Report, error) {
 		}
 	})
 
-	// Database record lookups across the full grid: the dense cache vs
-	// the seed's per-call interpolation.
-	lookup := func(b *testing.B, stats func(string, int, config.Setting) (*db.Stats, error)) {
-		b.Helper()
+	// Database record lookups across the full grid, served from the
+	// dense cache.
+	add("DBStats", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			set := config.Setting{
@@ -279,13 +270,11 @@ func Run(short bool) (*Report, error) {
 				Freq: i % config.NumFreqs,
 				Ways: config.MinWays + i%db.NumWays,
 			}
-			if _, err := stats("mcf", 0, set); err != nil {
+			if _, err := fixture.Stats("mcf", 0, set); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	add("DBStats", func(b *testing.B) { lookup(b, fixture.Stats) })
-	add("DBStatsReference", func(b *testing.B) { lookup(b, fixture.StatsReference) })
+	})
 
 	// One local optimisation (the paper's per-core curve computation).
 	add("Localize", func(b *testing.B) {
@@ -300,14 +289,11 @@ func Run(short bool) (*Report, error) {
 	// cores. Core 0 alternates between the curves of two records of mcf
 	// phase 0 (at the baseline and at the smallest grid setting), which
 	// differ, so every op changes one core's curve as an interval
-	// boundary does. The optimized path takes the two curves precomputed,
-	// as the database's warm curve table hands them to the engine, and
-	// recombines the one changed leaf-to-root path of the reduction
-	// workspace; the reference recomputes and reallocates, as the seed
-	// simulator did at every interval boundary.
-	preds := [2]rm.Predictor{pred, altPred}
+	// boundary does. The two curves are precomputed, as the database's
+	// warm curve table hands them to the engine, and each op recombines
+	// the one changed leaf-to-root path of the reduction workspace.
 	var warm [2]*rm.Curve
-	for i, p := range preds {
+	for i, p := range [2]rm.Predictor{pred, altPred} {
 		cv := rm.Localize(p, rm.RM3, rm.Options{})
 		warm[i] = &cv
 	}
@@ -317,18 +303,8 @@ func Run(short bool) (*Report, error) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			refCurves[0] = warm[i%2]
-			if !ws.Optimize(refCurves, config.TotalWays(cores), out) {
-				b.Fatal("infeasible")
-			}
-		}
-	})
-	add("RMInvocationReference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cv := rm.Localize(preds[i%2], rm.RM3, rm.Options{})
-			refCurves[0] = &cv
-			if _, ok := rm.GlobalOptimizeReference(refCurves, config.TotalWays(cores)); !ok {
+			curves[0] = warm[i%2]
+			if !ws.Optimize(curves, config.TotalWays(cores), out) {
 				b.Fatal("infeasible")
 			}
 		}
@@ -357,7 +333,7 @@ func Run(short bool) (*Report, error) {
 		}}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunDynamic(fixture, dyn, sim.Config{RM: rm.RM3, Model: perfmodel.Model3}); err != nil {
+			if _, err := sim.RunDynamicWS(fixture, dyn, sim.Config{RM: rm.RM3, Model: perfmodel.Model3}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -530,20 +506,6 @@ func BestOf(reports ...*Report) *Report {
 // Summary renders the headline comparisons of a report.
 func (r *Report) Summary() string {
 	s := ""
-	for _, pair := range [][2]string{
-		{"DatabaseBuildReference", "DatabaseBuild"},
-		{"DBStatsReference", "DBStats"},
-		{"RMInvocationReference", "RMInvocation"},
-	} {
-		ratio := r.Ratio(pair[0], pair[1])
-		if ratio == 0 {
-			continue
-		}
-		s += fmt.Sprintf("%s/%s: %.2fx\n", pair[0], pair[1], ratio)
-	}
-	if a, b := r.find("RMInvocationReference"), r.find("RMInvocation"); a != nil && b != nil {
-		s += fmt.Sprintf("RMInvocation allocs/op: %d -> %d\n", a.AllocsPerOp, b.AllocsPerOp)
-	}
 	if ratio := r.Ratio("DynamicStaticRun", "CoSimulation"); ratio != 0 {
 		s += fmt.Sprintf("dynamic-engine overhead on static runs: %.2fx\n", ratio)
 	}

@@ -4,15 +4,15 @@ import (
 	"math"
 
 	"qosrm/internal/config"
-	"qosrm/internal/perfmodel"
 )
 
 // BruteForceGlobalOptimize enumerates every way distribution and returns
-// the energy-optimal one. It exists as a correctness reference for
-// GlobalOptimize and to demonstrate the complexity gap the paper's
-// recursive reduction closes: enumeration is O(15ⁿ) in the core count,
-// the pairwise reduction O(n·A²) (Section III-A: "polynomial time
-// complexity with respect to the number of cores").
+// the energy-optimal one. It is the "brute" policy: an optimality
+// reference for the pairwise reduction (Workspace.Optimize) that also
+// demonstrates the complexity gap the paper's recursive reduction
+// closes: enumeration is O(15ⁿ) in the core count, the pairwise
+// reduction O(n·A²) (Section III-A: "polynomial time complexity with
+// respect to the number of cores").
 //
 // It is exponential; callers should keep n small (tests use n ≤ 4).
 func BruteForceGlobalOptimize(curves []*Curve, totalWays int) ([]config.Setting, bool) {
@@ -73,19 +73,4 @@ func BruteForceGlobalOptimize(curves []*Curve, totalWays int) ([]config.Setting,
 		out[i] = curves[i].Pick[w-config.MinWays]
 	}
 	return out, true
-}
-
-// TotalEnergy sums the curve energies of a way distribution; it returns
-// +Inf if any allocation is infeasible. Used to compare optimiser
-// outputs.
-func TotalEnergy(curves []*Curve, settings []config.Setting) float64 {
-	total := 0.0
-	for i, s := range settings {
-		wi := s.Ways - config.MinWays
-		if wi < 0 || wi >= perfmodel.NumWays {
-			return math.Inf(1)
-		}
-		total += curves[i].Energy[wi]
-	}
-	return total
 }

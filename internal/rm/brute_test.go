@@ -44,7 +44,7 @@ func TestBruteForceAgreesWithReduction(t *testing.T) {
 		for _, n := range []int{2, 3, 4} {
 			curves := randomCurves(rng, n)
 			total := config.TotalWays(n)
-			fast, okF := GlobalOptimize(curves, total)
+			fast, okF := allocate(PolicyModel3, curves, total)
 			slow, okS := BruteForceGlobalOptimize(curves, total)
 			if okF != okS {
 				return false
@@ -52,7 +52,7 @@ func TestBruteForceAgreesWithReduction(t *testing.T) {
 			if !okF {
 				continue
 			}
-			if math.Abs(TotalEnergy(curves, fast)-TotalEnergy(curves, slow)) > 1e-9 {
+			if math.Abs(totalEnergy(curves, fast)-totalEnergy(curves, slow)) > 1e-9 {
 				return false
 			}
 		}
@@ -99,19 +99,23 @@ func TestTotalEnergyInfValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	curves := randomCurves(rng, 2)
 	bad := []config.Setting{{Core: config.SizeM, Freq: 4, Ways: 99}, config.Baseline()}
-	if !math.IsInf(TotalEnergy(curves, bad), 1) {
+	if !math.IsInf(totalEnergy(curves, bad), 1) {
 		t.Fatal("out-of-range ways must yield +Inf")
 	}
 }
 
-// BenchmarkGlobalOptimize and BenchmarkBruteForce document the paper's
-// complexity argument at 8 cores.
+// BenchmarkGlobalOptimize8 times the seed reduction, which rebuilds the
+// whole tree with fresh allocations on every call, at 8 cores; against
+// BenchmarkGlobalOptimizeWorkspace8OneChanged it gives the workspace's
+// speed-up at an interval boundary. BenchmarkBruteForce4 documents the
+// paper's complexity argument.
 func BenchmarkGlobalOptimize8(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	curves := randomCurves(rng, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := GlobalOptimize(curves, config.TotalWays(8)); !ok {
+		if _, ok := GlobalOptimizeReference(curves, config.TotalWays(8)); !ok {
 			b.Fatal("infeasible")
 		}
 	}
@@ -133,8 +137,8 @@ func TestGreedyNeverBeatsOptimal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		curves := randomCurves(rng, 4)
 		total := config.TotalWays(4)
-		opt, okO := GlobalOptimize(curves, total)
-		greedy, okG := GreedyGlobalOptimize(curves, total)
+		opt, okO := allocate(PolicyModel3, curves, total)
+		greedy, okG := allocate(PolicyGreedy, curves, total)
 		if !okO {
 			return true // both may be infeasible
 		}
@@ -149,7 +153,7 @@ func TestGreedyNeverBeatsOptimal(t *testing.T) {
 		if sum != total {
 			return false
 		}
-		return TotalEnergy(curves, greedy) >= TotalEnergy(curves, opt)-1e-12
+		return totalEnergy(curves, greedy) >= totalEnergy(curves, opt)-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -175,19 +179,19 @@ func TestGreedyOptimalOnConvexCurves(t *testing.T) {
 			curves[i] = cv
 		}
 		total := config.TotalWays(3)
-		opt, _ := GlobalOptimize(curves, total)
-		greedy, ok := GreedyGlobalOptimize(curves, total)
+		opt, _ := allocate(PolicyModel3, curves, total)
+		greedy, ok := allocate(PolicyGreedy, curves, total)
 		if !ok {
 			t.Fatal("greedy failed on convex curves")
 		}
-		if d := TotalEnergy(curves, greedy) - TotalEnergy(curves, opt); d > 1e-9 {
+		if d := totalEnergy(curves, greedy) - totalEnergy(curves, opt); d > 1e-9 {
 			t.Fatalf("greedy suboptimal on convex curves by %g", d)
 		}
 	}
 }
 
 func TestGreedyEmptyInput(t *testing.T) {
-	if _, ok := GreedyGlobalOptimize(nil, 16); ok {
+	if _, ok := allocate(PolicyGreedy, nil, 16); ok {
 		t.Fatal("empty input must fail")
 	}
 }

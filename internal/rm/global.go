@@ -8,15 +8,10 @@ import (
 	"qosrm/internal/perfmodel"
 )
 
-// GlobalOptimize reduces the per-core energy curves pairwise until a
-// single curve remains (Figure 3), then backtracks the way split that
-// minimises Σ E_j(w_j) subject to Σ w_j = totalWays and
-// MinWays ≤ w_j ≤ MaxWays.
-//
-// It returns the chosen setting per core (Pick entries of each curve at
-// the granted allocation). The boolean is false when no feasible
-// distribution exists, which cannot happen while the baseline setting
-// itself is feasible for every core.
+// Workspace runs the global optimisation: it reduces the per-core
+// energy curves pairwise until a single curve remains (Figure 3), then
+// backtracks the way split that minimises Σ E_j(w_j) subject to
+// Σ w_j = totalWays and MinWays ≤ w_j ≤ MaxWays.
 //
 // The reduction is the paper's polynomial-complexity scheme. Combining
 // curves of lengths a and b costs a·b steps, and a group of k cores has
@@ -24,34 +19,21 @@ import (
 // reducing n cores costs O((nL)²), half of it in the root's combine.
 // Only one entry of the root's curve is ever read, E(totalWays), so the
 // Workspace never builds that curve: it scans the root's two children
-// for that one total in O(nL). Across calls a Workspace also recombines
-// only the inner nodes above a core whose curve changed, one per tree
-// level. For 8 cores and L = 15, GlobalOptimizeReference takes 5831
-// steps, a full Workspace reduction 2631 and a call after one core's
-// curve changed 1115. The Workspace also walks only each curve's finite
-// window, the entries between its first and last finite one, so L is
-// in effect the window's length: about 10 of 15 on the co-simulator's
-// curves, and 1 for a pinned core. With 10 finite entries per core,
-// the call after one change combines 100 + 361 steps instead of
-// 225 + 841. This entry point allocates a fresh workspace per call; the
-// per-interval hot path in the co-simulator reuses one Workspace across
-// calls instead (see Workspace.Optimize).
-func GlobalOptimize(curves []*Curve, totalWays int) ([]config.Setting, bool) {
-	if len(curves) == 0 {
-		return nil, false
-	}
-	var ws Workspace
-	out := make([]config.Setting, len(curves))
-	if !ws.Optimize(curves, totalWays, out) {
-		return nil, false
-	}
-	return out, true
-}
-
-// Workspace holds the reduction tree of the global optimisation as a
-// reusable arena: node energies, split tables and the tree structure
-// are allocated once per core count and overwritten in place, so the
-// per-interval invocations of the co-simulator run allocation-free.
+// for that one total in O(nL). Across calls it also recombines only the
+// inner nodes above a core whose curve changed, one per tree level. For
+// 8 cores and L = 15, the seed reduction (GlobalOptimizeReference in
+// the package's tests) takes 5831 steps, a full Workspace reduction
+// 2631 and a call after one core's curve changed 1115. The Workspace
+// also walks only each curve's finite window, the entries between its
+// first and last finite one, so L is in effect the window's length:
+// about 10 of 15 on the co-simulator's curves, and 1 for a pinned core.
+// With 10 finite entries per core, the call after one change combines
+// 100 + 361 steps instead of 225 + 841.
+//
+// The workspace is a reusable arena: node energies, split tables and
+// the tree structure are allocated once per core count and overwritten
+// in place, so the per-interval invocations of the co-simulator run
+// allocation-free.
 //
 // The tree is also a memo of the previous call. Every leaf keeps a copy
 // of the energies it last saw, and an inner node recombines only when
@@ -90,12 +72,15 @@ type wsNode struct {
 	changed bool
 }
 
-// Optimize is GlobalOptimize into a caller-provided result slice (len ≥
-// len(curves)), reusing the workspace's reduction tree. The computation
-// — combine order, iteration order, tie-breaking — replicates
-// GlobalOptimizeReference exactly, so the chosen settings are identical
-// to the seed implementation's (enforced by TestWorkspaceMatchesReference
-// and FuzzWorkspaceOptimize).
+// Optimize writes the chosen setting per core (the Pick entry of each
+// curve at the granted allocation) into out (len ≥ len(curves)),
+// reusing the workspace's reduction tree. It returns false when no
+// feasible distribution exists, which cannot happen while the baseline
+// setting itself is feasible for every core. The computation — combine
+// order, iteration order, tie-breaking — replicates the seed reduction
+// exactly, so the chosen settings are identical to the seed
+// implementation's (enforced by TestWorkspaceMatchesReference and
+// FuzzWorkspaceOptimize).
 func (ws *Workspace) Optimize(curves []*Curve, totalWays int, out []config.Setting) bool {
 	n := len(curves)
 	if n == 0 {
@@ -281,107 +266,4 @@ func (ws *Workspace) assign(node, total int, curves []*Curve, out []config.Setti
 	}
 	ws.assign(nd.left, leftW, curves, out)
 	ws.assign(nd.right, total-leftW, curves, out)
-}
-
-// aggregate is the seed's reduction-tree node, kept for
-// GlobalOptimizeReference.
-type aggregate struct {
-	lo, hi int // group covers cores lo..hi-1
-	minW   int // smallest representable total allocation
-	energy []float64
-	// split[i] is, for total allocation minW+i, the number of ways given
-	// to the left child group (meaningful only for inner nodes).
-	split []int
-	left  *aggregate
-	right *aggregate
-	// leafCurve is set on leaves.
-	leafCurve *Curve
-}
-
-// GlobalOptimizeReference is the seed implementation of GlobalOptimize,
-// retained verbatim as the equivalence baseline: it rebuilds the
-// reduction tree with fresh allocations on every call. Tests assert the
-// workspace path returns identical settings; perfbench measures the two
-// against each other.
-func GlobalOptimizeReference(curves []*Curve, totalWays int) ([]config.Setting, bool) {
-	n := len(curves)
-	if n == 0 {
-		return nil, false
-	}
-	if totalWays < n*config.MinWays || totalWays > n*config.MaxWays {
-		panic(fmt.Sprintf("rm: %d ways cannot be split across %d cores", totalWays, n))
-	}
-	root := reduce(curves, 0, n)
-	idx := totalWays - root.minW
-	if idx < 0 || idx >= len(root.energy) || math.IsInf(root.energy[idx], 1) {
-		return nil, false
-	}
-	out := make([]config.Setting, n)
-	assign(root, totalWays, curves, out)
-	return out, true
-}
-
-// reduce builds the reduction tree over curves[lo:hi].
-func reduce(curves []*Curve, lo, hi int) *aggregate {
-	if hi-lo == 1 {
-		a := &aggregate{
-			lo: lo, hi: hi,
-			minW:      config.MinWays,
-			energy:    make([]float64, perfmodel.NumWays),
-			leafCurve: curves[lo],
-		}
-		copy(a.energy, curves[lo].Energy[:])
-		return a
-	}
-	mid := (lo + hi) / 2
-	l := reduce(curves, lo, mid)
-	r := reduce(curves, mid, hi)
-	return combine(l, r)
-}
-
-// combine merges two group curves: E(W) = min over wl+wr=W of
-// El(wl)+Er(wr).
-func combine(l, r *aggregate) *aggregate {
-	a := &aggregate{
-		lo: l.lo, hi: r.hi,
-		minW:   l.minW + r.minW,
-		left:   l,
-		right:  r,
-		energy: make([]float64, len(l.energy)+len(r.energy)-1),
-		split:  make([]int, len(l.energy)+len(r.energy)-1),
-	}
-	for i := range a.energy {
-		a.energy[i] = math.Inf(1)
-		a.split[i] = -1
-	}
-	for li, le := range l.energy {
-		if math.IsInf(le, 1) {
-			continue
-		}
-		for ri, re := range r.energy {
-			if math.IsInf(re, 1) {
-				continue
-			}
-			i := li + ri
-			if e := le + re; e < a.energy[i] {
-				a.energy[i] = e
-				a.split[i] = l.minW + li
-			}
-		}
-	}
-	return a
-}
-
-// assign walks the reduction tree distributing the granted total.
-func assign(a *aggregate, total int, curves []*Curve, out []config.Setting) {
-	if a.leafCurve != nil {
-		out[a.lo] = a.leafCurve.Pick[total-config.MinWays]
-		return
-	}
-	leftW := a.split[total-a.minW]
-	if leftW < 0 {
-		panic("rm: backtracking through infeasible aggregate")
-	}
-	assign(a.left, leftW, curves, out)
-	assign(a.right, total-leftW, curves, out)
 }

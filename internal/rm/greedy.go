@@ -6,7 +6,7 @@ import (
 	"qosrm/internal/config"
 )
 
-// GreedyGlobalOptimize is a marginal-utility alternative to the paper's
+// greedyAllocate is a marginal-utility alternative to the paper's
 // optimal pairwise reduction: starting from the minimum allocation per
 // core, it repeatedly grants one way to the core whose energy curve
 // improves the most. This is the classic greedy partitioning heuristic
@@ -14,24 +14,11 @@ import (
 // optimal when all curves are convex. The ablation quantifies the energy
 // it leaves on the table.
 //
-// It returns false when even the starting minimum allocation is
-// infeasible for some core (an infeasible Energy[0] entry with no
-// feasible path upward).
-func GreedyGlobalOptimize(curves []*Curve, totalWays int) ([]config.Setting, bool) {
-	n := len(curves)
-	if n == 0 {
-		return nil, false
-	}
-	out := make([]config.Setting, n)
-	if !greedyAllocate(curves, totalWays, make([]int, n), out) {
-		return nil, false
-	}
-	return out, true
-}
-
-// greedyAllocate is the heuristic's core, writing into caller-provided
-// buffers (len(alloc) == len(curves), len(out) ≥ len(curves)) so the
-// policy layer can run it allocation-free per invocation.
+// It writes into caller-provided buffers (len(alloc) == len(curves),
+// len(out) ≥ len(curves)) so the policy layer can run it allocation-free
+// per invocation. It returns false when even the starting minimum
+// allocation is infeasible for some core (an infeasible Energy[0] entry
+// with no feasible path upward).
 func greedyAllocate(curves []*Curve, totalWays int, alloc []int, out []config.Setting) bool {
 	n := len(curves)
 	remaining := totalWays - n*config.MinWays

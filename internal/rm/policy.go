@@ -7,8 +7,8 @@
 // Three named policies ship with the reproduction:
 //
 //   - "model3": the paper's optimal pairwise curve reduction
-//     (GlobalOptimize / Workspace.Optimize) — the default everywhere;
-//   - "greedy": the marginal-utility heuristic (GreedyGlobalOptimize),
+//     (Workspace.Optimize) — the default everywhere;
+//   - "greedy": the marginal-utility heuristic (greedyAllocate),
 //     cheaper but optimal only for convex curves;
 //   - "brute": exhaustive enumeration (BruteForceGlobalOptimize), the
 //     exponential correctness reference for small core counts.
@@ -16,7 +16,6 @@ package rm
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"qosrm/internal/config"
@@ -112,16 +111,4 @@ func (p *brutePolicy) Allocate(curves []*Curve, totalWays int, out []config.Sett
 	}
 	copy(out, settings)
 	return true
-}
-
-// PolicyEnergy evaluates a policy's decision quality on one curve set:
-// the total predicted energy of its allocation, +Inf when infeasible.
-// Policy-comparison reports use it to quantify the optimality gap the
-// cheaper heuristics leave against "brute".
-func PolicyEnergy(p Policy, curves []*Curve, totalWays int) float64 {
-	out := make([]config.Setting, len(curves))
-	if !p.Allocate(curves, totalWays, out) {
-		return math.Inf(1)
-	}
-	return TotalEnergy(curves, out)
 }

@@ -48,8 +48,14 @@ func TestPoliciesMatchDirectCalls(t *testing.T) {
 
 		direct := map[string]func() ([]config.Setting, bool){
 			PolicyModel3: func() ([]config.Setting, bool) { return GlobalOptimizeReference(curves, total) },
-			PolicyGreedy: func() ([]config.Setting, bool) { return GreedyGlobalOptimize(curves, total) },
-			PolicyBrute:  func() ([]config.Setting, bool) { return BruteForceGlobalOptimize(curves, total) },
+			PolicyGreedy: func() ([]config.Setting, bool) {
+				out := make([]config.Setting, n)
+				if !greedyAllocate(curves, total, make([]int, n), out) {
+					return nil, false
+				}
+				return out, true
+			},
+			PolicyBrute: func() ([]config.Setting, bool) { return BruteForceGlobalOptimize(curves, total) },
 		}
 		for name, ref := range direct {
 			p, err := NewPolicy(name)
@@ -107,9 +113,9 @@ func TestPolicyEnergyOrdering(t *testing.T) {
 		n := 2 + rng.Intn(3)
 		curves := randomCurves(rng, n)
 		total := config.TotalWays(n)
-		eOpt := PolicyEnergy(model3, curves, total)
-		eBrute := PolicyEnergy(brute, curves, total)
-		eGreedy := PolicyEnergy(greedy, curves, total)
+		eOpt := policyEnergy(model3, curves, total)
+		eBrute := policyEnergy(brute, curves, total)
+		eGreedy := policyEnergy(greedy, curves, total)
 		if math.IsInf(eOpt, 1) != math.IsInf(eBrute, 1) {
 			t.Fatalf("trial %d: optimal/brute feasibility disagree", trial)
 		}

@@ -90,16 +90,6 @@ type Curve struct {
 	Pick [perfmodel.NumWays]config.Setting
 }
 
-// Feasible reports whether any allocation satisfies QoS.
-func (c *Curve) Feasible() bool {
-	for _, e := range c.Energy {
-		if !math.IsInf(e, 1) {
-			return true
-		}
-	}
-	return false
-}
-
 // Options tunes the local optimisation.
 type Options struct {
 	// Alpha is the QoS relaxation parameter of Eq. 3 (paper: 1.0).

@@ -40,6 +40,17 @@ func (p *fakePredictor) EnergyPI(s config.Setting) float64 {
 	return dyn + static + mem
 }
 
+// feasibleWays counts the allocations of cv that satisfy QoS.
+func feasibleWays(cv *Curve) int {
+	n := 0
+	for _, e := range cv.Energy {
+		if !math.IsInf(e, 1) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{Idle: "Idle", RM1: "RM1", RM2: "RM2", RM3: "RM3"}
 	for k, s := range names {
@@ -60,7 +71,7 @@ func TestLocalizeBaselineAlwaysFeasible(t *testing.T) {
 		if math.IsInf(cv.Energy[wi], 1) {
 			t.Errorf("%s: baseline allocation infeasible", k)
 		}
-		if !cv.Feasible() {
+		if feasibleWays(&cv) == 0 {
 			t.Errorf("%s: curve completely infeasible", k)
 		}
 	}
@@ -122,16 +133,7 @@ func TestLocalizeRM3FeasibleBelowBaselineWays(t *testing.T) {
 	p := &fakePredictor{coreNs: 0.5, memNs: 0.5, memSlope: 0.06}
 	rm2 := Localize(p, RM2, Options{})
 	rm3 := Localize(p, RM3, Options{})
-	feasible := func(cv Curve) int {
-		n := 0
-		for _, e := range cv.Energy {
-			if !math.IsInf(e, 1) {
-				n++
-			}
-		}
-		return n
-	}
-	if feasible(rm3) < feasible(rm2) {
+	if feasibleWays(&rm3) < feasibleWays(&rm2) {
 		t.Fatal("RM3's search space contains RM2's; it cannot be less feasible")
 	}
 	for wi := range rm3.Energy {
@@ -171,7 +173,7 @@ func TestGlobalOptimizeConservesWays(t *testing.T) {
 			curves[i] = &cv
 		}
 		total := config.TotalWays(n)
-		settings, ok := GlobalOptimize(curves, total)
+		settings, ok := allocate(PolicyModel3, curves, total)
 		if !ok {
 			t.Fatalf("n=%d: no feasible distribution", n)
 		}
@@ -215,7 +217,7 @@ func TestGlobalOptimizeMatchesBruteForce(t *testing.T) {
 			curves[i] = cv
 		}
 		total := config.TotalWays(n)
-		settings, ok := GlobalOptimize(curves, total)
+		settings, ok := allocate(PolicyModel3, curves, total)
 		if !ok {
 			return false
 		}
@@ -257,17 +259,17 @@ func TestGlobalOptimizeInfeasible(t *testing.T) {
 		cv.Pick[config.BaseWays-config.MinWays] = config.Baseline()
 		return cv
 	}
-	if _, ok := GlobalOptimize([]*Curve{pin(), pin()}, 17); ok {
+	if _, ok := allocate(PolicyModel3, []*Curve{pin(), pin()}, 17); ok {
 		t.Fatal("expected infeasibility")
 	}
-	if settings, ok := GlobalOptimize([]*Curve{pin(), pin()}, 16); !ok ||
+	if settings, ok := allocate(PolicyModel3, []*Curve{pin(), pin()}, 16); !ok ||
 		settings[0].Ways != 8 || settings[1].Ways != 8 {
 		t.Fatal("pinned curves must split 8/8")
 	}
 }
 
 func TestGlobalOptimizeEmptyAndBounds(t *testing.T) {
-	if _, ok := GlobalOptimize(nil, 16); ok {
+	if _, ok := allocate(PolicyModel3, nil, 16); ok {
 		t.Fatal("no cores must be infeasible")
 	}
 	defer func() {
@@ -276,7 +278,7 @@ func TestGlobalOptimizeEmptyAndBounds(t *testing.T) {
 		}
 	}()
 	cv := Localize(&fakePredictor{coreNs: 0.4, memNs: 0.6, memSlope: 0.05}, RM3, Options{})
-	GlobalOptimize([]*Curve{&cv}, 40)
+	allocate(PolicyModel3, []*Curve{&cv}, 40)
 }
 
 func TestGlobalOptimizePrefersCheaperDistribution(t *testing.T) {
@@ -286,7 +288,7 @@ func TestGlobalOptimizePrefersCheaperDistribution(t *testing.T) {
 	flat := &fakePredictor{coreNs: 0.5, memNs: 0.0, memSlope: 0}
 	c1 := Localize(hungry, RM3, Options{})
 	c2 := Localize(flat, RM3, Options{})
-	settings, ok := GlobalOptimize([]*Curve{&c1, &c2}, 16)
+	settings, ok := allocate(PolicyModel3, []*Curve{&c1, &c2}, 16)
 	if !ok {
 		t.Fatal("expected feasible distribution")
 	}

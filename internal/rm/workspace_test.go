@@ -40,15 +40,15 @@ func TestWorkspaceMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGlobalOptimizeMatchesReference pins the package-level entry point
-// (fresh workspace per call) to the seed implementation too.
+// TestGlobalOptimizeMatchesReference pins a one-shot model3 policy (a
+// fresh workspace per call) to the seed implementation too.
 func TestGlobalOptimizeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(4)
 		curves := randomCurves(rng, n)
 		total := config.TotalWays(n)
-		fast, okF := GlobalOptimize(curves, total)
+		fast, okF := allocate(PolicyModel3, curves, total)
 		ref, okR := GlobalOptimizeReference(curves, total)
 		if okF != okR {
 			t.Fatalf("trial %d: feasibility diverges", trial)
@@ -82,7 +82,7 @@ func TestWorkspaceInfeasible(t *testing.T) {
 
 // BenchmarkGlobalOptimizeWorkspace8 measures a reused workspace on
 // curves that do not change between calls, which leaves only the root
-// solve; BenchmarkGlobalOptimize8 is the fresh-allocation entry point.
+// solve; BenchmarkGlobalOptimize8 is the seed reduction.
 func BenchmarkGlobalOptimizeWorkspace8(b *testing.B) {
 	benchmarkWorkspace8(b, false)
 }

@@ -345,9 +345,9 @@ type Server struct {
 	keys          map[string]string
 	forwardedKeys map[string]*forwardedRef
 
-	// workspaces pools *sim.RunWorkspace for synchronous scenarios, so a
-	// request reuses engine state and a reduction arena instead of
-	// allocating them.
+	// workspaces pools *sim.RunWorkspace for synchronous scenarios and
+	// savings requests, so a request reuses engine state and a reduction
+	// arena instead of allocating them.
 	workspaces sync.Pool
 
 	metrics metrics
@@ -783,20 +783,18 @@ func (s *Server) handleSavings(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	idleCfg := cfg
 	idleCfg.RM = rm.Idle
-	idle, err := sim.RunCtx(r.Context(), s.db, apps, idleCfg)
-	if err != nil {
-		s.runError(w, r, err)
-		return
-	}
+	ws := s.workspaces.Get().(*sim.RunWorkspace)
+	idle, err := sim.RunCtx(r.Context(), s.db, apps, idleCfg, ws)
 	// An idle request is its own twin (the same shortcut scenario.Run
 	// takes): saving is zero by construction.
 	managed := idle
-	if kind != rm.Idle {
-		managed, err = sim.RunCtx(r.Context(), s.db, apps, cfg)
-		if err != nil {
-			s.runError(w, r, err)
-			return
-		}
+	if err == nil && kind != rm.Idle {
+		managed, err = sim.RunCtx(r.Context(), s.db, apps, cfg, ws)
+	}
+	s.workspaces.Put(ws)
+	if err != nil {
+		s.runError(w, r, err)
+		return
 	}
 	s.metrics.savingsNs.Add(time.Since(t0).Nanoseconds())
 	s.metrics.countPolicy(policy)

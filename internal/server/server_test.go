@@ -197,9 +197,11 @@ func TestScenarioMatchesInProcess(t *testing.T) {
 
 // TestPooledScenariosMatchOneShot sends concurrent synchronous
 // scenarios that mix core counts, managers, policies and way donation,
-// so the pooled workspaces serve every shape in turn, and requires each
-// response body to be byte-identical to the encoding of a one-shot
-// scenario.Run of the same spec.
+// interleaved with savings requests of mixed core counts, managers and
+// policies, so the pooled workspaces serve every shape of both endpoints
+// in turn. It requires each scenario body to be byte-identical to the
+// encoding of a one-shot scenario.Run of the same spec, and each savings
+// body to the encoding of a response built from one-shot sim.Run calls.
 func TestPooledScenariosMatchOneShot(t *testing.T) {
 	d := sharedDB(t)
 	_, ts := newTestServer(t, Options{})
@@ -236,6 +238,28 @@ func TestPooledScenariosMatchOneShot(t *testing.T) {
 			want = append(want, buf.Bytes())
 		}
 	}
+	mixes := [][]string{
+		{"mcf"},
+		{"mcf", "povray", "bwaves"},
+		{"bwaves", "mcf", "povray", "mcf", "povray", "bwaves", "mcf", "povray"},
+	}
+	var saves []SavingsRequest
+	var wantSaves [][]byte
+	for i, mix := range mixes {
+		for j, kind := range []rm.Kind{rm.Idle, rm.RM1, rm.RM2, rm.RM3} {
+			policy := rm.PolicyNames()[(i+j)%3]
+			if policy == rm.PolicyBrute && len(mix) > 3 {
+				policy = rm.PolicyGreedy
+			}
+			req := SavingsRequest{Apps: mix, RM: kind.String(), Policy: policy}
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(oneShotSavings(t, d, req, kind)); err != nil {
+				t.Fatal(err)
+			}
+			saves = append(saves, req)
+			wantSaves = append(wantSaves, buf.Bytes())
+		}
+	}
 
 	const clients = 4
 	var wg sync.WaitGroup
@@ -249,10 +273,49 @@ func TestPooledScenariosMatchOneShot(t *testing.T) {
 				if code != http.StatusOK || raw != string(want[i]) {
 					t.Errorf("%s: status %d, body differs from one-shot run:\n got %s\nwant %s", specs[i].Name, code, raw, want[i])
 				}
+				k := (c + r) % len(saves)
+				code, raw = postJSONErr(ts.URL+"/v1/savings", &saves[k], nil)
+				if code != http.StatusOK || raw != string(wantSaves[k]) {
+					t.Errorf("savings %+v: status %d, body differs from one-shot runs:\n got %s\nwant %s", saves[k], code, raw, wantSaves[k])
+				}
 			}
 		}(c)
 	}
 	wg.Wait()
+}
+
+// oneShotSavings computes the response to req, whose manager is kind, in
+// process: the idle twin and the managed run are one-shot sim.Run calls
+// with no workspace.
+func oneShotSavings(t *testing.T, d *db.DB, req SavingsRequest, kind rm.Kind) *SavingsResponse {
+	t.Helper()
+	apps := make([]*bench.Benchmark, len(req.Apps))
+	for i, name := range req.Apps {
+		apps[i] = mustBench(t, name)
+	}
+	cfg := sim.Config{RM: kind, Policy: req.Policy}
+	idleCfg := cfg
+	idleCfg.RM = rm.Idle
+	idle, err := sim.Run(d, apps, idleCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	managed := idle
+	if kind != rm.Idle {
+		if managed, err = sim.Run(d, apps, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &SavingsResponse{
+		Policy:        req.Policy,
+		Saving:        1 - managed.EnergyJ/idle.EnergyJ,
+		EnergyJ:       managed.EnergyJ,
+		IdleEnergyJ:   idle.EnergyJ,
+		TimeNs:        managed.TimeNs,
+		RMCalled:      managed.RMCalled,
+		ViolationRate: managed.ViolationRate(),
+		Apps:          managed.Apps,
+	}
 }
 
 func TestValidationErrors(t *testing.T) {

@@ -19,7 +19,7 @@ func TestRunCtxCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunCtx(ctx, d, workload, cfg)
+	res, err := RunCtx(ctx, d, workload, cfg, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -27,7 +27,7 @@ func TestRunCtxCancelled(t *testing.T) {
 		t.Fatal("cancelled run returned a result")
 	}
 
-	if _, err := RunCtx(nil, d, workload, cfg); err != nil {
+	if _, err := RunCtx(nil, d, workload, cfg, nil); err != nil {
 		t.Fatalf("nil-context run failed: %v", err)
 	}
 }

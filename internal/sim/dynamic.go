@@ -162,7 +162,7 @@ func (r *DynamicResult) BudgetViolationRate() float64 {
 	return float64(v) / float64(n)
 }
 
-// RunDynamic co-simulates a dynamic workload under cfg, reading all
+// RunDynamicWS co-simulates a dynamic workload under cfg, reading all
 // per-interval behaviour from d. Cores with no running job idle at their
 // last setting — their LLC ways stay physically allocated and are pinned
 // in the global optimisation (unless Config.DonateIdleWays frees a
@@ -171,14 +171,10 @@ func (r *DynamicResult) BudgetViolationRate() float64 {
 // core's current setting until its first interval completes and the RM
 // reallocates; a finishing or departing job triggers an immediate global
 // re-optimisation when its core's queue continues.
-func RunDynamic(d *db.DB, dyn Dynamic, cfg Config) (*DynamicResult, error) {
-	return RunDynamicWS(d, dyn, cfg, nil)
-}
-
-// RunDynamicWS is RunDynamic reusing a workspace across calls; ws may
-// be nil for a one-shot run. Results are identical to RunDynamic's —
-// the workspace only recycles buffers and memoized pinned and donor
-// curves, whose keys pin all of their inputs.
+//
+// ws is reused across calls and may be nil for a one-shot run. Results
+// do not depend on it: the workspace only recycles buffers and memoized
+// pinned and donor curves, whose keys pin all of their inputs.
 func RunDynamicWS(d *db.DB, dyn Dynamic, cfg Config, ws *RunWorkspace) (*DynamicResult, error) {
 	return RunDynamicCtx(nil, d, dyn, cfg, ws)
 }

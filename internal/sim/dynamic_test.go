@@ -49,7 +49,7 @@ func TestDynamicMatchesStaticRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunDynamic(d, staticDynamic(w), tc.cfg)
+			got, err := RunDynamicWS(d, staticDynamic(w), tc.cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestDynamicChurnScenario(t *testing.T) {
 			bad++
 		}
 	}
-	r, err := RunDynamic(d, dyn, cfg)
+	r, err := RunDynamicWS(d, dyn, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestDynamicChurnScenario(t *testing.T) {
 
 	// Determinism: an identical description must reproduce the run
 	// bit for bit.
-	again, err := RunDynamic(d, churnScenario(t), Config{RM: rm.RM3})
+	again, err := RunDynamicWS(d, churnScenario(t), Config{RM: rm.RM3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDynamicValidation(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := RunDynamic(d, tc.dyn, Config{}); err == nil {
+		if _, err := RunDynamicWS(d, tc.dyn, Config{}, nil); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
 	}
@@ -236,7 +236,7 @@ func TestDynamicIdleGap(t *testing.T) {
 		{App: apps(t, "povray")[0], Work: work},
 		{App: apps(t, "povray")[0], Work: work, ArrivalNs: 1e10},
 	}}}}
-	r, err := RunDynamic(d, dyn, Config{RM: rm.RM3})
+	r, err := RunDynamicWS(d, dyn, Config{RM: rm.RM3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +267,11 @@ func TestDynamicPerAppAlphaSavesEnergy(t *testing.T) {
 	relaxed := staticDynamic(apps(t, "mcf", "povray"))
 	relaxed.Queues[0].Jobs[0].Alpha = 1.4
 	cfg := Config{RM: rm.RM3, Perfect: true}
-	strict, err := RunDynamic(d, base, cfg)
+	strict, err := RunDynamicWS(d, base, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := RunDynamic(d, relaxed, cfg)
+	rel, err := RunDynamicWS(d, relaxed, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,13 +302,13 @@ func TestDynamicTrailingStepIsNoOp(t *testing.T) {
 	// the uncore energy) of an already-finished run.
 	d := sharedDB(t)
 	cfg := Config{RM: rm.RM3}
-	plain, err := RunDynamic(d, staticDynamic(apps(t, "mcf", "povray")), cfg)
+	plain, err := RunDynamicWS(d, staticDynamic(apps(t, "mcf", "povray")), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trailing := staticDynamic(apps(t, "mcf", "povray"))
 	trailing.Steps = []QoSStep{{AtNs: plain.TimeNs * 10, Core: -1, Alpha: 1.1}}
-	r, err := RunDynamic(d, trailing, cfg)
+	r, err := RunDynamicWS(d, trailing, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestDynamicEdgeCases(t *testing.T) {
 			{App: apps(t, "bwaves")[0], Work: work, DepartNs: 1e8},
 		}},
 	}}
-	r, err := RunDynamic(d, dyn, Config{RM: rm.RM3})
+	r, err := RunDynamicWS(d, dyn, Config{RM: rm.RM3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,13 +357,13 @@ func TestDynamicQoSStepRelaxes(t *testing.T) {
 	// under a perfect predictor.
 	d := sharedDB(t)
 	cfg := Config{RM: rm.RM3, Perfect: true}
-	plain, err := RunDynamic(d, staticDynamic(apps(t, "mcf", "povray")), cfg)
+	plain, err := RunDynamicWS(d, staticDynamic(apps(t, "mcf", "povray")), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stepped := staticDynamic(apps(t, "mcf", "povray"))
 	stepped.Steps = []QoSStep{{AtNs: plain.TimeNs / 100, Core: -1, Alpha: 1.4}}
-	r, err := RunDynamic(d, stepped, cfg)
+	r, err := RunDynamicWS(d, stepped, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -379,7 +379,7 @@ func (c *dynCore) reset(q Queue, cfg *Config) {
 }
 
 // runEngine is the unified co-simulation loop; every public entry point
-// (Run, RunDynamic, their Ctx/WS variants) routes through it.
+// (Run, RunCtx, RunDynamicWS and RunDynamicCtx) routes through it.
 func runEngine(ctx context.Context, d *db.DB, dyn Dynamic, cfg Config, ws *RunWorkspace) (*DynamicResult, error) {
 	cfg.fill()
 	if err := dyn.Validate(d); err != nil {

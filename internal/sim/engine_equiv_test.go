@@ -115,7 +115,7 @@ func TestEngineMatchesDynamicReferenceAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		got, err := RunDynamic(d, dyn, cfg)
+		got, err := RunDynamicWS(d, dyn, cfg, nil)
 		if err != nil {
 			t.Fatalf("seed %d: unified: %v", seed, err)
 		}
@@ -160,11 +160,11 @@ func TestPolicyNameMatchesLegacyFlags(t *testing.T) {
 				t.Errorf("static: policy %q diverges from the legacy flags", tc.policy)
 			}
 
-			wantD, err := RunDynamic(d, dyn, tc.legacy)
+			wantD, err := RunDynamicWS(d, dyn, tc.legacy, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotD, err := RunDynamic(d, dyn, named)
+			gotD, err := RunDynamicWS(d, dyn, named, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

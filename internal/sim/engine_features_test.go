@@ -18,7 +18,7 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	if _, err := Run(d, apps(t, "mcf"), Config{RM: rm.RM3, Policy: "skynet"}); err == nil {
 		t.Fatal("unknown policy must fail the run")
 	}
-	if _, err := RunDynamic(d, StaticWorkload(apps(t, "mcf")), Config{RM: rm.RM3, Policy: "skynet"}); err == nil {
+	if _, err := RunDynamicWS(d, StaticWorkload(apps(t, "mcf")), Config{RM: rm.RM3, Policy: "skynet"}, nil); err == nil {
 		t.Fatal("unknown policy must fail the dynamic run")
 	}
 }
@@ -90,7 +90,7 @@ func TestDonateIdleWaysFreesDrainedCores(t *testing.T) {
 				t.Errorf("ways not conserved: %v", e.Allocations)
 			}
 		}
-		r, err := RunDynamic(d, donationWorkload(t), cfg)
+		r, err := RunDynamicWS(d, donationWorkload(t), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestDonateIdleWaysDefaultOffIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunDynamic(d, donationWorkload(t), cfg)
+	got, err := RunDynamicWS(d, donationWorkload(t), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 		{App: apps(t, "povray")[0], Work: work},           // slot 0, default priority
 		{App: apps(t, "mcf")[0], Work: work, Priority: 5}, // slot 1, urgent
 	}}}}
-	r, err := RunDynamic(d, dyn, Config{RM: rm.RM3})
+	r, err := RunDynamicWS(d, dyn, Config{RM: rm.RM3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPreemptionSuspendsAndResumes(t *testing.T) {
 			bad++
 		}
 	}}
-	r, err := RunDynamic(d, dyn, cfg)
+	r, err := RunDynamicWS(d, dyn, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestPreemptionSuspendsAndResumes(t *testing.T) {
 
 	// Determinism.
 	cfg.Trace = nil
-	again, err := RunDynamic(d, dyn, cfg)
+	again, err := RunDynamicWS(d, dyn, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestFractionalWorkResidueTerminates(t *testing.T) {
 		done := make(chan *DynamicResult, 1)
 		fail := make(chan error, 1)
 		go func() {
-			r, err := RunDynamic(d, dyn, cfg)
+			r, err := RunDynamicWS(d, dyn, cfg, nil)
 			if err != nil {
 				fail <- err
 				return
@@ -296,7 +296,7 @@ func TestFractionalWorkResidueTerminates(t *testing.T) {
 
 	// The frozen reference shares the guard, keeping the equivalence
 	// property well-defined on every input.
-	got, err := RunDynamic(d, dyn, Config{RM: rm.RM3})
+	got, err := RunDynamicWS(d, dyn, Config{RM: rm.RM3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestZeroPriorityQueueUsesLegacyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunDynamic(d, dyn, Config{RM: rm.RM3})
+	got, err := RunDynamicWS(d, dyn, Config{RM: rm.RM3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,11 @@ import (
 )
 
 // refState is the seed engines' per-run working set: the global
-// reduction workspace and the assembly slices, exactly as runState
-// looked before the policy layer replaced the direct Workspace.Optimize
-// / GreedyGlobalOptimize call sites.
+// reduction workspace and the assembly slices, as runState looked
+// before the policy layer replaced the direct Workspace.Optimize and
+// greedy call sites. The greedy sites allocate through a fresh
+// rm.NewPolicy(rm.PolicyGreedy) per call, as the seed's one-shot greedy
+// call allocated its buffers.
 type refState struct {
 	ws         rm.Workspace
 	curves     []*rm.Curve
@@ -226,12 +228,12 @@ func invokeRMStaticRef(d *db.DB, cfg Config, cores []*refCore, inv, totalWays in
 			curves[i] = st.pinnedBase
 		}
 	}
-	var settings []config.Setting
+	settings := st.settings
 	var ok bool
 	if cfg.Policy == rm.PolicyGreedy {
-		settings, ok = rm.GreedyGlobalOptimize(curves, totalWays)
+		greedy, _ := rm.NewPolicy(rm.PolicyGreedy)
+		ok = greedy.Allocate(curves, totalWays, settings)
 	} else {
-		settings = st.settings
 		ok = st.ws.Optimize(curves, totalWays, settings)
 	}
 	if !ok {
@@ -520,12 +522,12 @@ func invokeRMDynamicRef(d *db.DB, cfg *Config, cores []*dynCore, inv, totalWays 
 			curves[i] = o.pinnedSelf()
 		}
 	}
-	var settings []config.Setting
+	settings := st.settings
 	var ok bool
 	if cfg.Policy == rm.PolicyGreedy {
-		settings, ok = rm.GreedyGlobalOptimize(curves, totalWays)
+		greedy, _ := rm.NewPolicy(rm.PolicyGreedy)
+		ok = greedy.Allocate(curves, totalWays, settings)
 	} else {
-		settings = st.settings
 		ok = st.ws.Optimize(curves, totalWays, settings)
 	}
 	if !ok {

@@ -215,23 +215,24 @@ func StaticWorkload(apps []*bench.Benchmark) Dynamic {
 // Run co-simulates the workload apps (one application per core) under
 // cfg, reading all per-interval behaviour from d.
 func Run(d *db.DB, apps []*bench.Benchmark, cfg Config) (*Result, error) {
-	return RunCtx(nil, d, apps, cfg)
+	return RunCtx(nil, d, apps, cfg, nil)
 }
 
-// RunCtx is Run honouring ctx: the event loop polls for cancellation
-// between interval boundaries, so servers can abandon in-flight
-// co-simulations promptly. A nil ctx disables the checks; a cancelled
-// run returns ctx's error and no result.
+// RunCtx is Run honouring ctx and reusing ws. The event loop polls for
+// cancellation between interval boundaries, so servers can abandon
+// in-flight co-simulations promptly. A nil ctx disables the checks; a
+// cancelled run returns ctx's error and no result. ws may be nil for a
+// one-shot run; results do not depend on it (see RunDynamicWS).
 //
 // The static workload is executed by the unified engine as one
 // run-to-target job per core; the result is bit-identical to the seed
 // static co-simulator's (pinned by the cross-seed property tests against
 // runStaticReference).
-func RunCtx(ctx context.Context, d *db.DB, apps []*bench.Benchmark, cfg Config) (*Result, error) {
+func RunCtx(ctx context.Context, d *db.DB, apps []*bench.Benchmark, cfg Config, ws *RunWorkspace) (*Result, error) {
 	if len(apps) == 0 {
 		return nil, fmt.Errorf("sim: empty workload")
 	}
-	dr, err := runEngine(ctx, d, StaticWorkload(apps), cfg, nil)
+	dr, err := runEngine(ctx, d, StaticWorkload(apps), cfg, ws)
 	if err != nil {
 		return nil, err
 	}

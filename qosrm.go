@@ -32,6 +32,14 @@
 // with a retained seed implementation (the *Reference functions) and
 // equivalence tests assert the outputs are bit-identical, so these are
 // pure speedups with no numerical drift in figure or table outputs.
+// Seed implementations that only tests call live in their packages'
+// test files: db.BuildReference and DB.StatsReference,
+// rm.GlobalOptimizeReference and sim's frozen pre-unification engines.
+// The seed database sweep walks each grid point through a chain that
+// crosses packages — cpu.RunReference and Annotated.WarmATDReference
+// feed atd.AccessReference, which calls cache.LRUStack.AccessReference —
+// and each link needs its own package's internals, so that chain is
+// still production code.
 //
 // Database sweep (db.Build): per phase, the trace is generated and its
 // cache hierarchy behaviour annotated once, and each instruction's
@@ -166,7 +174,7 @@
 // The paper evaluates its managers on static workloads only: one
 // application pinned per core, one global QoS target, run to completion.
 // The scenario engine generalises that to dynamic, declarative
-// scenarios. sim.RunDynamic drives per-core application queues — jobs
+// scenarios. sim.RunDynamicWS drives per-core application queues — jobs
 // arrive, execute a bounded instruction budget, finish or depart early,
 // and the next queued job takes over the core, at which point the RM
 // immediately re-optimises the whole system — with per-application QoS
@@ -689,7 +697,7 @@ func (s *System) Run(apps []*Benchmark, cfg SimConfig) (*SimResult, error) {
 // per-core job queues with arrivals and departures, per-app QoS
 // relaxation, queue priorities and mid-run QoS steps.
 func (s *System) RunDynamic(dyn Dynamic, cfg SimConfig) (*DynamicResult, error) {
-	return sim.RunDynamic(s.db, dyn, s.withPolicy(cfg))
+	return sim.RunDynamicWS(s.db, dyn, s.withPolicy(cfg), nil)
 }
 
 // RunScenario executes one declarative scenario together with its
